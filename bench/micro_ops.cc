@@ -330,41 +330,6 @@ BM_BatchedDrive(benchmark::State &state)
 BENCHMARK(BM_BatchedDrive)->Arg(1)->Arg(64);
 
 void
-BM_ConcurrentDrive(benchmark::State &state)
-{
-    // The concurrent-controller headline: drain one fixed pre-decoded
-    // trace through the pipelined controller at N workers (DESIGN.md
-    // §11). Arg 1 is the exact serial protocol; the ratio at Arg 4 is
-    // the concurrency win, bounded by host cores (see host.cpus in
-    // the benchmark snapshot). Real time, not CPU time: worker
-    // threads sum in the latter.
-    const auto workers = static_cast<std::uint32_t>(state.range(0));
-    SystemConfig cfg = defaultSystemConfig();
-    cfg.scheme = MemScheme::OramDynamic;
-    cfg.oram.numDataBlocks = 1ULL << 12;
-    cfg.workers = workers;
-    std::vector<TraceRecord> records(2048);
-    std::uint64_t x = 9;
-    for (TraceRecord &rec : records) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        rec.addr = (x % (1ULL << 12)) * 128;
-        rec.op = (x >> 32) % 4 == 0 ? OpType::Write : OpType::Read;
-    }
-    System system(cfg);
-    std::uint64_t refs = 0;
-    for (auto _ : state) {
-        const SimResult r = system.runQueue(records);
-        benchmark::DoNotOptimize(r.cycles);
-        refs += r.references;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
-    state.counters["workers"] = static_cast<double>(workers);
-}
-BENCHMARK(BM_ConcurrentDrive)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void
 BM_TraceOverhead(benchmark::State &state)
 {
     // The <=2% compiled-in-but-idle budget (ISSUE acceptance): run

@@ -33,12 +33,6 @@ base label taken under a different scheme: cross-protocol ratios are
 design differences, not regressions. Entries predating the tag count
 as "path".
 
---throughput-binary runs the sustained-throughput driver
-(build/bench/throughput_drive --json) and attaches its
-proram-throughput-v1 output as the entry's "throughput" section, so
-snapshots carry open-loop req/s and latency percentiles per worker
-count alongside the micro_ops medians.
-
 Only stdlib; safe to run on any host with the repo built. The JSON
 file is rewritten with 2-space indentation (matching the committed
 style) and a trailing newline.
@@ -158,25 +152,6 @@ def summarize_metrics(jsonl_path):
     return {"runs": runs, "schemes": schemes}
 
 
-THROUGHPUT_SCHEMA = "proram-throughput-v1"
-
-
-def run_throughput(binary, extra_args, scheme=None):
-    """Run the open-loop throughput driver and return its parsed
-    --json document (schema-checked)."""
-    cmd = [str(binary), "--json"] + list(extra_args)
-    env = dict(os.environ)
-    if scheme:
-        env["PRORAM_SCHEME"] = scheme
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True,
-                         env=env)
-    doc = json.loads(out.stdout)
-    if doc.get("schema") != THROUGHPUT_SCHEMA:
-        sys.exit(f"error: {binary}: expected schema "
-                 f"'{THROUGHPUT_SCHEMA}', got '{doc.get('schema')}'")
-    return doc
-
-
 def compare(base_micro, micro, max_regression):
     """Per-benchmark new/base ratios. Returns (rows, regressed) where
     rows are (name, base, new, ratio) for benchmarks present in both."""
@@ -223,13 +198,6 @@ def main():
     ap.add_argument("--metrics-jsonl",
                     help="PRORAM_METRICS_FILE dump to summarize into "
                          "the snapshot entry")
-    ap.add_argument("--throughput-binary",
-                    help="path to the built throughput_drive binary; "
-                         "its --json output becomes the entry's "
-                         "'throughput' section")
-    ap.add_argument("--throughput-args", default="",
-                    help="extra args for --throughput-binary, "
-                         "space-separated (e.g. '--reps 5')")
     ap.add_argument("--scheme", default="path",
                     choices=("path", "ring"),
                     help="ORAM protocol to run and tag the snapshot "
@@ -314,9 +282,8 @@ def main():
     if not micro:
         sys.exit("error: benchmark run produced no results")
 
-    # Concurrency benchmarks (BM_ConcurrentDrive) only show speedup on
-    # multi-core hosts, so every snapshot records where it was taken
-    # instead of trusting the file-level hardcoded host block.
+    # Every snapshot records the host it was taken on instead of
+    # trusting the file-level hardcoded host block.
     host_cpus = os.cpu_count() or 1
     entry = {
         "label": args.label,
@@ -348,10 +315,6 @@ def main():
     entry["memory"] = memory
     if args.metrics_jsonl:
         entry["metrics"] = summarize_metrics(args.metrics_jsonl)
-    if args.throughput_binary:
-        entry["throughput"] = run_throughput(
-            args.throughput_binary, args.throughput_args.split(),
-            scheme=args.scheme)
 
     if existing is not None:
         snapshots[snapshots.index(existing)] = entry

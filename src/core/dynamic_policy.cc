@@ -261,19 +261,8 @@ DynamicSuperBlockPolicy::applyMergeScheme(BlockId base, std::uint32_t n)
 
     if (counter < max)
         ++counter;
-    // A pair member claimed by another in-flight request vetoes the
-    // merge (concurrent mode only; claimedElsewhere is always false
-    // serially): merging would extend that request's remap set while
-    // its members are neither in our stash nor remappable.
-    bool pair_claimed = false;
-    for (std::uint32_t i = 0; i < 2 * n; ++i) {
-        if (claimedElsewhere(sbMemberAt(pair_base, i, stride))) {
-            pair_claimed = true;
-            break;
-        }
-    }
     if (static_cast<double>(counter) < mergeThreshold(n) ||
-        !neighborCoherent(nbase, n) || pair_claimed) {
+        !neighborCoherent(nbase, n)) {
         writeMergeCounter(pair_base, n, counter);
         return;
     }

@@ -1,29 +1,14 @@
 #include "core/oram_controller.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "core/dynamic_policy.hh"
 #include "core/static_policy.hh"
-#include "core/super_block.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 
 namespace proram
 {
-
-namespace
-{
-
-/** The calling request's claim set (stage 1 fills it, stage 3b
- *  releases it). File-scope so the policy claim guard can subtract
- *  the caller's own claims: the guard must veto merges only on
- *  *other* requests' in-flight blocks, and the policy runs while the
- *  caller's own claims are still up (they keep the remap set pinned
- *  until the remaps land). */
-thread_local std::vector<BlockId> tlsClaims;
-
-} // namespace
 
 OramController::OramController(const OramConfig &oram_cfg,
                                const ControllerConfig &ctl_cfg,
@@ -71,21 +56,13 @@ OramController::attachAuditor(obs::ObliviousnessAuditor *auditor)
 {
     auditor_ = auditor;
     // Pos-map path accesses happen inside the unified front end; have
-    // it report their public leaves directly. In concurrent mode the
-    // walk runs mid-pipeline, so its leaves buffer into the request's
-    // pmSink_ and replay contiguously at commit (the auditor's
-    // per-grant path accounting assumes grant-ordered delivery).
+    // it report their public leaves directly.
     if (auditor) {
         oram_.setPosMapObserver([this](Leaf leaf) {
-            if (pmSink_ != nullptr)
-                pmSink_->push_back(leaf);
-            else
-                auditor_->onPath(obs::PathKind::PosMap, leaf);
+            auditor_->onPath(obs::PathKind::PosMap, leaf);
         });
-        // Scheduled-eviction paths (Ring ORAM) report straight to the
-        // auditor: the engine serializes the calls in schedule order,
-        // and onEvictionPath touches only its own fields, so no
-        // commit-time buffering is needed. Path ORAM never fires it.
+        // Scheduled-eviction paths (Ring ORAM) report in schedule
+        // order. Path ORAM never fires it.
         oram_.engine().setEvictionObserver([this](Leaf leaf) {
             auditor_->onEvictionPath(leaf);
         });
@@ -93,65 +70,6 @@ OramController::attachAuditor(obs::ObliviousnessAuditor *auditor)
         oram_.setPosMapObserver({});
         oram_.engine().setEvictionObserver({});
     }
-}
-
-void
-OramController::enableConcurrent(unsigned workers)
-{
-    panic_if(!policy_, "enableConcurrent before configure*()");
-    panic_if(scheduler_.enabled(),
-             "periodic scheduling is defined over a serial schedule; "
-             "concurrent drive mode requires periodic.enabled=false");
-    panic_if(ctlCfg_.traditionalPrefetcher,
-             "traditional prefetcher drives through the cache "
-             "hierarchy; not supported in concurrent drive mode");
-    if (workers <= 1)
-        return;
-    concurrent_ = true;
-
-    // Resolve the contention knobs (DESIGN.md Sec. 13): explicit
-    // config wins, then the environment, then the defaults.
-    std::uint32_t shards = ctlCfg_.stashShards;
-    if (shards == 0) {
-        shards = 8;
-        if (const char *env = std::getenv("PRORAM_STASH_SHARDS")) {
-            shards = static_cast<std::uint32_t>(
-                std::strtoul(env, nullptr, 10));
-            if (shards == 0)
-                shards = 1;
-        }
-    }
-    bool dedup = ctlCfg_.dedupWindow != 0;
-    if (ctlCfg_.dedupWindow < 0) {
-        if (const char *env = std::getenv("PRORAM_DEDUP"))
-            dedup = std::strtoul(env, nullptr, 10) != 0;
-    }
-
-    subtree_ = std::make_unique<SubtreeCache>(
-        oram_.engine().tree().numBuckets());
-    if (dedup)
-        subtree_->enableWindow(oram_.engine().tree());
-    const std::uint64_t total = oram_.space().numTotalBlocks();
-    claimed_ = std::make_unique<std::atomic<std::uint8_t>[]>(total);
-    oram_.engine().enableConcurrent(subtree_.get(), claimed_.get(),
-                                    shards);
-    oram_.setClaimTable(claimed_.get());
-    // Claims visible to the guard minus the calling request's own:
-    // the policy runs with its own claims still up (see tlsClaims).
-    policy_->setClaimGuard([this](BlockId b) {
-        std::uint8_t own = 0;
-        for (const BlockId m : tlsClaims)
-            own += static_cast<std::uint8_t>(m == b);
-        return claimed_[b.value()].load(std::memory_order_relaxed) >
-               own;
-    });
-}
-
-void
-OramController::flushSubtreeWindow()
-{
-    if (subtree_ != nullptr)
-        subtree_->flushWindow(oram_.engine().tree());
 }
 
 std::uint64_t
@@ -300,185 +218,6 @@ OramController::demandAccess(Cycles now, BlockId block, OpType op)
     return dataAccess(now, block, op, 0, nullptr);
 }
 
-Cycles
-OramController::queueAccess(BlockId block, OpType op,
-                            const std::uint64_t *write_data,
-                            std::uint64_t *read_out)
-{
-    if (!concurrent_) {
-        // Serial queue drain: the exact dataAccess() protocol,
-        // back-to-back against the controller clock.
-        return dataAccess(busyUntil_, block, op,
-                          write_data != nullptr ? *write_data : 0,
-                          read_out);
-    }
-
-    panic_if(!policy_, "controller used before configure*()");
-    panic_if(!oram_.space().isData(block),
-             "CPU-visible access to non-data block ", block);
-    PRORAM_TRACE_SCOPE_ARG("controller", "access", "block", block);
-
-    OramScheme &engine = oram_.engine();
-    static thread_local std::vector<FetchedBlock> fetchBuf;
-    if (fetchBuf.size() < engine.maxPathBlocks())
-        fetchBuf.resize(engine.maxPathBlocks());
-
-    // Stage 1 - position-map walk, leaf resolve, super-block claim.
-    // Claiming every current member (claim count + stash pin,
-    // atomically per member under its shard lock) keeps the whole
-    // remap set out of other requests' eviction passes until the
-    // remaps land in stage 3b, so no member can land back in the tree
-    // under a mapping this access is about to change. Only the meta
-    // lock is held across the walk: the stash shard locks are taken
-    // member-wise inside claimPin / the walk's inserts.
-    std::vector<Leaf> pmLeaves;
-    std::uint64_t walkPaths = 0;
-    Leaf leaf = kInvalidLeaf;
-    {
-        const util::ScopedLock meta(metaLock_);
-        pmSink_ = &pmLeaves;
-        const PosMapWalk walk = oram_.posMapWalk(block);
-        pmSink_ = nullptr;
-        walkPaths = walk.pathAccesses();
-        leaf = oram_.posMap().leafOf(block);
-        const PosEntry &entry = oram_.posMap().entry(block);
-        const std::uint32_t n = entry.sbSize();
-        const std::uint32_t stride = entry.sbStrideLog;
-        const BlockId base = sbBaseStrided(block, n, stride);
-        tlsClaims.clear();
-        for (std::uint32_t i = 0; i < n; ++i) {
-            const BlockId m = sbMemberAt(base, i, stride);
-            engine.stash().claimPin(m, claimed_[m.value()]);
-            tlsClaims.push_back(m);
-        }
-    }
-
-    // Stage 2 - path fetch into a thread-local buffer. Only per-node
-    // locks are held, one bucket at a time: this is the stage that
-    // overlaps across in-flight requests (dedicated buckets dedup
-    // through the SubtreeCache window).
-    const std::size_t fetched = engine.fetchPath(leaf, fetchBuf.data());
-    std::uint64_t paths = walkPaths + 1;
-
-    // Stage 3a - absorb the fetched blocks, then wait until the
-    // target block is stash-resident. Our fetch may have missed it if
-    // another request's fetch cleared it off a shared bucket first;
-    // once any absorb deposits it, the claim pin makes stash
-    // residency permanent until we release it below.
-    {
-        const util::ScopedLock meta(metaLock_);
-        engine.absorbPath(fetchBuf.data(), fetched);
-        // Lazy initialization: a block that was never placed cannot
-        // arrive from any fetch; create it now so the residency wait
-        // below terminates. No-op in eager mode, and same-block
-        // requests are serialized by the sequencer, so creation
-        // cannot race with itself.
-        oram_.ensureCreated(block);
-    }
-    engine.stash().awaitResident(block);
-
-    // Stage 3b - payload, policy remap, claim release, then this
-    // request's eviction pass. The policy runs while our own claims
-    // are still up (the guard subtracts them via tlsClaims), so every
-    // block it remaps stays pinned until the new mapping is in the
-    // position map; only then are the claims dropped and the members
-    // handed back to the eviction passes. The eviction itself runs
-    // outside the meta lock: it takes shard and node locks bucket-
-    // wise (DESIGN.md Sec. 13).
-    AccessDecision decision;
-    {
-        const util::ScopedLock meta(metaLock_);
-        {
-            const std::uint32_t s = engine.stash().shardOf(block);
-            const util::ScopedLock sl = engine.stash().lockShard(s);
-            std::uint64_t *payload =
-                engine.stash().findDataLocked(s, block);
-            panic_if(!payload, "block ", block, " absent from path ",
-                     leaf, " and stash (invariant broken)");
-            if (op == OpType::Write && write_data != nullptr)
-                *payload = *write_data;
-            if (read_out != nullptr)
-                *read_out = *payload;
-        }
-        decision = policy_->onDataAccess(block, false);
-        sbSize_.sample(oram_.posMap().entry(block).sbSize());
-        for (const BlockId m : tlsClaims)
-            engine.stash().releaseUnpin(m, claimed_[m.value()]);
-        tlsClaims.clear();
-    }
-    engine.evictPath(leaf);
-
-    // Stage 4 - background eviction while the stash is over capacity,
-    // within the per-request budget. The capacity probe is lock-free
-    // (atomic live count); random leaves come from the engine RNG
-    // (internally locked); leaves are recorded for the audit replay
-    // at commit.
-    std::vector<Leaf> bgLeaves;
-    std::uint64_t spent = 0;
-    while (spent < ctlCfg_.maxBgEvictionsPerRequest) {
-        if (!engine.stash().overCapacity())
-            break;
-        Leaf dummy_leaf;
-        if (engine.dummyAccessConcurrentSafe()) {
-            // Scheme-managed dummy (Ring): one scheduled-eviction
-            // pass under the scheme's own node + shard locks. The
-            // random-path round-trip below would make no eviction
-            // progress here - the claim-gated fetch extracts nothing
-            // unclaimed and only every A-th evictPath call runs a
-            // real pass.
-            dummy_leaf = engine.dummyAccess();
-        } else {
-            dummy_leaf = engine.randomLeaf();
-            PRORAM_TRACE_SCOPE_ARG("dummy", "bgEvict", "leaf",
-                                   dummy_leaf);
-            const std::size_t n = engine.fetchPath(dummy_leaf,
-                                                   fetchBuf.data());
-            {
-                const util::ScopedLock meta(metaLock_);
-                engine.absorbPath(fetchBuf.data(), n);
-            }
-            engine.evictPath(dummy_leaf);
-        }
-        bgLeaves.push_back(dummy_leaf);
-        ++paths;
-        ++spent;
-    }
-
-    // Stage 5 - commit: prefetch insertion, audit replay, timing and
-    // stats, all under the meta lock. Timing is a serial grant chain
-    // in commit order against the shared busy-until clock.
-    {
-        const util::ScopedLock meta(metaLock_);
-        for (BlockId p : decision.prefetches) {
-            BlockId clean_victim = kInvalidBlock;
-            if (!hierarchy_.insertPrefetch(p, &clean_victim))
-                policy_->onPrefetchDropped(p);
-        }
-        ++stats_.realRequests;
-        stats_.posMapAccesses += walkPaths;
-        stats_.pathAccesses += paths;
-        stats_.bgEvictions += spent;
-        walkDepth_.sample(walkPaths);
-
-        const Cycles now = busyUntil_;
-        if (auditor_ != nullptr) {
-            for (Leaf l : pmLeaves)
-                auditor_->onPath(obs::PathKind::PosMap, l);
-            auditor_->onPath(obs::PathKind::Real, leaf);
-            for (Leaf l : bgLeaves)
-                auditor_->onPath(obs::PathKind::BgEvict, l);
-        }
-        const PeriodicGrant grant = scheduler_.schedule(now, paths);
-        if (auditor_ != nullptr)
-            auditor_->onGrant(grant.start, paths);
-        requestLatency_.sample((grant.completion - now).value());
-        epochBusy_ += grant.completion - grant.start;
-        busyUntil_ = grant.completion;
-        maybeRollEpoch(grant.completion);
-        return grant.completion;
-    }
-}
-
 void
 OramController::writebackOne(Cycles now, BlockId block)
 {
@@ -579,9 +318,6 @@ void
 OramController::finalize(Cycles end)
 {
     drainPeriodicDummies(end);
-    // Quiescent by contract at finalize: sync the dedup window so any
-    // post-run tree inspection sees the authoritative buckets.
-    flushSubtreeWindow();
 }
 
 std::uint64_t
@@ -641,54 +377,6 @@ OramController::buildStatGroup() const
                [o] { return static_cast<double>(o->plb().hits()); });
     g.addValue("plbMisses", "position-map block cache misses",
                [o] { return static_cast<double>(o->plb().misses()); });
-
-    // Concurrency telemetry (DESIGN.md Sec. 13): lock traffic and
-    // path-dedup effectiveness. All zero in serial mode.
-    g.addValue("subtreeLockAcquisitions",
-               "tree node-lock acquisitions (concurrent mode)", [this] {
-                   return subtree_ ? static_cast<double>(
-                                         subtree_->acquisitions())
-                                   : 0.0;
-               });
-    g.addValue("subtreeLockContended",
-               "node-lock acquisitions that had to block", [this] {
-                   return subtree_
-                              ? static_cast<double>(subtree_->contended())
-                              : 0.0;
-               });
-    g.addValue("stashShards", "stash shard count", [o] {
-        return static_cast<double>(o->engine().stash().shardCount());
-    });
-    g.addValue("stashShardLockAcquisitions",
-               "stash shard-lock acquisitions", [o] {
-                   return static_cast<double>(
-                       o->engine().stash().shardLockAcquisitions());
-               });
-    g.addValue("stashShardLockContended",
-               "shard-lock acquisitions that had to block", [o] {
-                   return static_cast<double>(
-                       o->engine().stash().shardLockContended());
-               });
-    g.addValue("dedupHits",
-               "dedicated-bucket touches served from the dedup window",
-               [this] {
-                   return subtree_
-                              ? static_cast<double>(subtree_->dedupHits())
-                              : 0.0;
-               });
-    g.addValue("dedupMisses",
-               "dedicated-bucket touches that read the arena", [this] {
-                   return subtree_ ? static_cast<double>(
-                                         subtree_->dedupMisses())
-                                   : 0.0;
-               });
-    g.addValue("dedupFlushWrites",
-               "arena bucket writes performed by window flushes",
-               [this] {
-                   return subtree_ ? static_cast<double>(
-                                         subtree_->flushWrites())
-                                   : 0.0;
-               });
 
     // Per-scheme protocol counters (zero under Path ORAM): Ring's
     // bucket-granular read traffic and its decoupled write schedule.

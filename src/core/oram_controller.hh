@@ -9,9 +9,7 @@
 #ifndef PRORAM_CORE_ORAM_CONTROLLER_HH
 #define PRORAM_CORE_ORAM_CONTROLLER_HH
 
-#include <atomic>
 #include <memory>
-#include <vector>
 
 #include "core/dynamic_policy.hh"
 #include "core/policy.hh"
@@ -21,9 +19,7 @@
 #include "mem/cache_hierarchy.hh"
 #include "mem/stream_prefetcher.hh"
 #include "oram/periodic.hh"
-#include "oram/subtree_cache.hh"
 #include "oram/unified_oram.hh"
-#include "util/mutex.hh"
 
 namespace proram
 {
@@ -50,20 +46,6 @@ struct ControllerConfig
      */
     bool traditionalPrefetcher = false;
     PrefetcherConfig prefetcher{};
-    /**
-     * Stash shard count for concurrent drive mode (rounded down to a
-     * power of two, clamped to [1, Stash::kMaxShards]). 0 (default)
-     * resolves $PRORAM_STASH_SHARDS, falling back to 8. Ignored in
-     * serial mode (the stash stays single-sharded).
-     */
-    std::uint32_t stashShards = 0;
-    /**
-     * Cross-request path-dedup window over the SubtreeCache's
-     * dedicated nodes (DESIGN.md Sec. 13): 1 forces on, 0 forces off,
-     * -1 (default) resolves $PRORAM_DEDUP, falling back to on.
-     * Ignored in serial mode.
-     */
-    int dedupWindow = -1;
 };
 
 /** Counters the experiment harness reads after a run. */
@@ -117,44 +99,6 @@ class OramController : public MemBackend, public LlcProbe
      */
     Cycles dataAccess(Cycles now, BlockId block, OpType op,
                       std::uint64_t write_data, std::uint64_t *read_out);
-
-    /**
-     * Switch into the concurrent drive mode: after this, several
-     * threads may call queueAccess() simultaneously. Builds the
-     * per-node SubtreeCache over the tree arena (with the dedup
-     * window, unless disabled), shards the stash, allocates the
-     * per-block claim table, and flips the engine into locked bucket
-     * access. Must run after configure*() and before any queueAccess();
-     * incompatible with the periodic scheduler (timing protection is
-     * defined over a serial schedule - see DESIGN.md §11).
-     */
-    void enableConcurrent(unsigned workers);
-    bool concurrentEnabled() const { return concurrent_; }
-
-    /**
-     * One logical access from the concurrent request queue. In serial
-     * mode (enableConcurrent not called) this is exactly
-     * dataAccess(busyUntil(), ...). In concurrent mode the access
-     * runs as pipeline stages under the controller's lock hierarchy;
-     * timing commits in completion order against the shared
-     * busy-until clock. @return the request's completion time.
-     */
-    Cycles queueAccess(BlockId block, OpType op,
-                       const std::uint64_t *write_data,
-                       std::uint64_t *read_out);
-
-    /** Node-lock contention counters (null in serial mode). */
-    const SubtreeCache *subtreeCache() const { return subtree_.get(); }
-
-    /**
-     * Write the dedup window's dirty resident buckets back to the
-     * arena. Must run at a quiescent point (no in-flight
-     * queueAccess) before anything reads the tree directly -
-     * integrity checks, goldens, serial traffic. No-op in serial mode
-     * or with the window disabled. The sim harness calls this after
-     * every concurrent drain (System::runQueue).
-     */
-    void flushSubtreeWindow();
 
     const ControllerStats &stats() const { return stats_; }
 
@@ -231,41 +175,6 @@ class OramController : public MemBackend, public LlcProbe
     ControllerStats stats_;
     Cycles busyUntil_{0};
     obs::ObliviousnessAuditor *auditor_ = nullptr;
-
-    // Concurrent drive mode (DESIGN.md §11/§13/§15). Lock hierarchy:
-    // metaLock_ < per-node locks (SubtreeCache, one at a time) <
-    // stash-shard locks (Stash, one at a time on the hot path); the
-    // engine's RNG mutex is leaf-level and acquirable anywhere. The
-    // rare multi-shard operations (resharding, drained iteration) run
-    // single-threaded by contract. Debug builds assert the order on
-    // every acquisition (util/lock_order.hh); the lock-order lint
-    // (tools/lint/lock_order_lint.py) rejects out-of-order shapes
-    // statically.
-    //   metaLock_: position map + PLB + policy + scheduler + stats_ +
-    //              histograms + auditor + epoch + busyUntil_ + LLC
-    //              prefetch insertion + pmSink_ + claim-count writes.
-    //              (Members stay un-GUARDED_BY: serial mode reads and
-    //              writes them lock-free by design, so the capability
-    //              map is documented here and enforced by the runtime
-    //              rank checker instead.)
-    //   node locks: that bucket's tree slots + dedup-window copy.
-    //   shard locks: that shard's stash lanes/index/pin lane; the
-    //              occupancy distribution has its own internal lock.
-    bool concurrent_ = false;
-    util::Mutex metaLock_{lock_order::Rank::Meta};
-    std::unique_ptr<SubtreeCache> subtree_;
-    /** Per-BlockId claim counts: > 0 while in-flight requests own the
-     *  block (pinning it against eviction; super blocks can overlap,
-     *  so claims nest). Writes go through Stash::claimPin /
-     *  releaseUnpin under metaLock_ (atomically with the pin under
-     *  the member's shard lock); reads are lock-free (stash pin
-     *  filter, policy claim guard). */
-    std::unique_ptr<std::atomic<std::uint8_t>[]> claimed_;
-    /** When non-null (during a concurrent pos-map walk, under
-     *  metaLock_), pos-map path leaves buffer here instead of going
-     *  to the auditor, and replay contiguously at commit so the
-     *  auditor's per-grant accounting stays exact. */
-    std::vector<Leaf> *pmSink_ = nullptr;
 
     stats::LogHistogram requestLatency_;
     stats::LogHistogram walkDepth_;

@@ -11,7 +11,6 @@
 #define PRORAM_CORE_POLICY_HH
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -96,21 +95,6 @@ class SuperBlockPolicy
 
     const PolicyStats &policyStats() const { return stats_; }
 
-    /**
-     * Concurrent-mode hook (empty in serial mode): true if @p block
-     * is claimed by a *different* in-flight request. A merge must not
-     * adopt members of a foreign claimed super block - the claimant's
-     * remap set would grow under it mid-access (DESIGN.md §13). The
-     * calling request keeps its own members claimed through the
-     * policy (the claims pin them against foreign evictions until the
-     * policy's remaps land), so the controller's guard subtracts the
-     * caller's own claim counts before answering.
-     */
-    void setClaimGuard(std::function<bool(BlockId)> fn)
-    {
-        claimGuard_ = std::move(fn);
-    }
-
     /** Scheme name for reports. */
     virtual const char *name() const = 0;
 
@@ -130,15 +114,9 @@ class SuperBlockPolicy
     /** Mark @p block as freshly prefetched (prefetch=1, hit=0). */
     void markPrefetched(BlockId block);
 
-    bool claimedElsewhere(BlockId block) const
-    {
-        return claimGuard_ && claimGuard_(block);
-    }
-
     UnifiedOram &oram_;
     const LlcProbe &llc_;
     PolicyStats stats_;
-    std::function<bool(BlockId)> claimGuard_;
 };
 
 /** Baseline: every block is its own super block; remap-and-return. */

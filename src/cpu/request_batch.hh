@@ -38,15 +38,6 @@ struct RequestBatch
  *  kDefaultSize when unset or unparsable. */
 std::size_t batchSizeFromEnv();
 
-/** Hard cap on concurrent drive workers (queue drain threads). */
-inline constexpr unsigned kMaxDriveWorkers = 64;
-
-/** Worker count from $PRORAM_WORKERS, clamped to
- *  [1, kMaxDriveWorkers]; 1 (serial drive) when unset or
- *  unparsable. Workers > 1 select the concurrent queue-drain mode
- *  (System::runQueue) instead of the serial replay loop. */
-unsigned workersFromEnv();
-
 } // namespace proram
 
 #endif // PRORAM_CPU_REQUEST_BATCH_HH

@@ -23,19 +23,6 @@ batchSizeFromEnv()
                                  RequestBatch::kCapacity);
 }
 
-unsigned
-workersFromEnv()
-{
-    const char *env = std::getenv("PRORAM_WORKERS");
-    if (!env)
-        return 1;
-    const long v = std::atol(env);
-    if (v <= 0)
-        return 1;
-    return std::min<unsigned>(static_cast<unsigned>(v),
-                              kMaxDriveWorkers);
-}
-
 TraceCpu::TraceCpu(CacheHierarchy &hierarchy, MemBackend &backend,
                    std::uint32_t line_bytes, std::size_t batch_size)
     : hierarchy_(hierarchy), backend_(backend),

@@ -117,7 +117,7 @@ class SparseArena final : public ArenaBackend
   protected:
     /**
      * First write into an implicit chunk, reached from tryPlace /
-     * write-back under the chunk once-latch. The allocation is
+     * write-back. The allocation is
      * deliberate hot-path work: its trigger is the public heap node
      * index the server already observes (file comment / DESIGN.md
      * Sec. 12), it happens at most once per chunk, and the
@@ -306,11 +306,7 @@ ArenaBackend::ArenaBackend(std::uint64_t num_buckets, std::uint32_t z,
     chunkShift_ = log2Floor(chunk_buckets);
     numChunks_ = (num_buckets + chunk_buckets - 1) / chunk_buckets;
     chunkBytes_ = chunkLayout(chunkSlots(), chunkBuckets_).totalBytes;
-    chunks_ = std::make_unique<Chunk[]>(numChunks_);
-    // std::array members default-construct unranked; rank them before
-    // the backend sees any traffic (we are still in the ctor).
-    for (auto &latch : latches_)
-        latch.setRank(lock_order::Rank::Leaf);
+    chunks_ = std::make_unique<Lanes[]>(numChunks_);
 }
 
 ArenaBackend::~ArenaBackend() = default;
@@ -318,23 +314,16 @@ ArenaBackend::~ArenaBackend() = default;
 ArenaBackend::Lanes
 ArenaBackend::materialize(std::uint64_t chunk)
 {
-    Lanes existing = lanes(chunk);
+    const Lanes existing = lanes(chunk);
     if (existing.ids != nullptr)
         return existing;
-    return materializeLocked(chunk, true);
+    return materializeChunk(chunk, true);
 }
 
 ArenaBackend::Lanes
-ArenaBackend::materializeLocked(std::uint64_t chunk, bool trace)
+ArenaBackend::materializeChunk(std::uint64_t chunk, bool trace)
 {
-    const util::ScopedLock latch(latches_[chunk % kLatchStripes]);
-    // Double-check under the latch: a racing first-touch may have
-    // published while we waited.
-    Lanes existing = lanes(chunk);
-    if (existing.ids != nullptr)
-        return existing;
-
-    Lanes fresh = provideChunk(chunk);
+    const Lanes fresh = provideChunk(chunk);
     // All-dummy fill: id lane to the (non-zero) kInvalidBlock
     // sentinel, free lane to z. The payload lane stays unwritten -
     // dummy payloads are never read (readPath skips dummy slots and
@@ -343,18 +332,8 @@ ArenaBackend::materializeLocked(std::uint64_t chunk, bool trace)
     // touching 2/3 of the chunk's pages.
     std::uninitialized_fill_n(fresh.ids, chunkSlots(), kInvalidBlock);
     std::uninitialized_fill_n(fresh.free, chunkBuckets_, z_);
-
-    Chunk &c = chunks_[chunk];
-    c.data = fresh.data;
-    c.free = fresh.free;
-    // Publication point: the release store of the id pointer is what
-    // makes the plain data/free stores above and the lane fills
-    // visible to any thread whose view()/lanes() acquire-load observes
-    // non-null ids. Storing ids last is load-bearing.
-    c.ids.store(fresh.ids, std::memory_order_release);
-    // Telemetry counter only (chunksMaterialized() snapshots): relaxed
-    // is enough, nothing is ordered against it.
-    chunksMaterialized_.fetch_add(1, std::memory_order_relaxed);
+    chunks_[chunk] = fresh;
+    ++chunksMaterialized_;
     if (trace)
         PRORAM_TRACE_EVENT("arena", "materialize", "chunk", chunk);
     return fresh;
@@ -364,7 +343,7 @@ void
 ArenaBackend::materializeAll()
 {
     for (std::uint64_t c = 0; c < numChunks_; ++c)
-        materializeLocked(c, false);
+        materializeChunk(c, false);
     PRORAM_TRACE_EVENT("arena", "materializeAll", "chunks",
                        numChunks_);
 }

@@ -15,16 +15,16 @@
  *    contiguous per-lane allocations (the pre-arena layout; the
  *    default, keeping fixed-seed goldens bit-identical and the hot
  *    scans globally contiguous).
- *  - Sparse: chunks are heap-allocated on first write and published
- *    into an atomic chunk directory.
+ *  - Sparse: chunks are heap-allocated on first write and recorded
+ *    in the chunk directory.
  *  - Mmap: one large MAP_NORESERVE mapping (anonymous or file-backed)
  *    reserved up front; materialization touches only the chunk's id
  *    and free-count pages. Linux-only; optionally MADV_HUGEPAGE.
  *
- * First-touch is thread-safe under PRORAM_WORKERS: readers
- * acquire-load the chunk's id-lane pointer from the directory (null
- * means implicit all-dummy) and writers materialize under a striped
- * chunk-level once-latch, release-storing the pointer last. The
+ * Each tree owns its arena and is driven by one thread (host
+ * parallelism lives at the experiment-grid level, where every cell
+ * builds its own System), so the chunk directory is a plain array: a
+ * null id-lane pointer means the chunk is implicit all-dummy. The
  * materialization coordinate is the *public* heap node index - the
  * same value the simulated server observes for every bucket touched -
  * so demand materialization leaks nothing beyond the access pattern
@@ -39,14 +39,11 @@
 #ifndef PRORAM_MEM_ARENA_HH
 #define PRORAM_MEM_ARENA_HH
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "util/mutex.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -95,15 +92,10 @@ struct ArenaOptions
 };
 
 /**
- * Chunked slot-arena storage shared by all backends: the atomic chunk
- * directory, the first-touch latch, the all-dummy fill and the
- * materialization counters. Derived classes only provide raw lane
- * storage for one chunk (provideChunk) and a name.
- *
- * Thread safety: view() is wait-free (one acquire load); concurrent
- * materialize() calls for the same chunk serialize on a striped mutex
- * and all but one become lookups. Counter reads are monotonic
- * snapshots.
+ * Chunked slot-arena storage shared by all backends: the chunk
+ * directory, the all-dummy fill and the materialization counters.
+ * Derived classes only provide raw lane storage for one chunk
+ * (provideChunk) and a name.
  */
 class ArenaBackend
 {
@@ -161,28 +153,15 @@ class ArenaBackend
      */
     View view(std::uint64_t chunk) const
     {
-        const Chunk &c = chunks_[chunk];
-        // Release/acquire pairing with materialize(): observing the
-        // id pointer implies the data/free pointers and the
-        // all-dummy lane fill are visible too.
-        const BlockId *ids = c.ids.load(std::memory_order_acquire);
-        if (ids == nullptr)
-            return View{};
-        return View{ids, c.data, c.free};
+        const Lanes &c = chunks_[chunk];
+        return View{c.ids, c.data, c.free};
     }
 
     /** Writable lanes of chunk @p chunk, or all-null if implicit. */
-    Lanes lanes(std::uint64_t chunk)
-    {
-        const Chunk &c = chunks_[chunk];
-        BlockId *ids = c.ids.load(std::memory_order_acquire);
-        if (ids == nullptr)
-            return Lanes{};
-        return Lanes{ids, c.data, c.free};
-    }
+    Lanes lanes(std::uint64_t chunk) { return chunks_[chunk]; }
 
     /**
-     * Materialize chunk @p chunk (idempotent, thread-safe): allocate
+     * Materialize chunk @p chunk (idempotent): allocate
      * its lanes, fill the id lane with kInvalidBlock and the free
      * lane with z (the payload lane is left unwritten - dummy
      * payloads are never read), publish, count. The argument is a
@@ -192,14 +171,13 @@ class ArenaBackend
 
     bool materialized(std::uint64_t chunk) const
     {
-        return chunks_[chunk].ids.load(std::memory_order_acquire) !=
-               nullptr;
+        return chunks_[chunk].ids != nullptr;
     }
 
     /** @name Telemetry (PR-4 metrics registry / `arena` traces). @{ */
     std::uint64_t chunksMaterialized() const
     {
-        return chunksMaterialized_.load(std::memory_order_relaxed);
+        return chunksMaterialized_;
     }
     /** Lane bytes of materialized chunks (chunkBytes granularity). */
     std::uint64_t bytesResident() const
@@ -218,7 +196,7 @@ class ArenaBackend
                  std::uint32_t chunk_buckets);
 
     /** Raw (uninitialized) lane storage for chunk @p chunk. Called
-     *  once per chunk under its once-latch. */
+     *  once per chunk. */
     virtual Lanes provideChunk(std::uint64_t chunk) = 0;
 
     /** Dense construction path: materialize every chunk without
@@ -232,16 +210,7 @@ class ArenaBackend
     }
 
   private:
-    struct Chunk
-    {
-        /** Publication point: non-null once the chunk's all-dummy
-         *  fill is complete (release-stored last). */
-        std::atomic<BlockId *> ids{nullptr};
-        std::uint64_t *data = nullptr;
-        std::uint32_t *free = nullptr;
-    };
-
-    Lanes materializeLocked(std::uint64_t chunk, bool trace);
+    Lanes materializeChunk(std::uint64_t chunk, bool trace);
 
     std::uint64_t numBuckets_;
     std::uint32_t z_;
@@ -249,16 +218,9 @@ class ArenaBackend
     std::uint32_t chunkShift_;
     std::uint64_t numChunks_;
     std::uint64_t chunkBytes_;
-    std::unique_ptr<Chunk[]> chunks_;
-
-    /** Striped first-touch once-latches (chunk -> stripe). Rank Leaf:
-     *  held only around provideChunk + lane fill, deepest in the
-     *  hierarchy (a writer reaching materialize() may already hold a
-     *  node lock), and never while taking any other ranked lock. */
-    static constexpr std::size_t kLatchStripes = 64;
-    std::array<util::Mutex, kLatchStripes> latches_;
-
-    std::atomic<std::uint64_t> chunksMaterialized_{0};
+    /** The chunk directory: all-null lanes while a chunk is implicit. */
+    std::unique_ptr<Lanes[]> chunks_;
+    std::uint64_t chunksMaterialized_ = 0;
 };
 
 } // namespace proram

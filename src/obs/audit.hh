@@ -150,10 +150,6 @@ class ObliviousnessAuditor
      * demand-dependent eviction path is a leak, and shows up here as
      * a sequence violation. Path ORAM never calls this (its eviction
      * path is the just-read path, already audited by onPath).
-     *
-     * Touches only eviction-sequence fields, and the engine
-     * serializes its calls (schedule draws are mutex-ordered), so it
-     * is safe against concurrent onPath callers.
      */
     void onEvictionPath(Leaf leaf);
 

@@ -1,130 +1,20 @@
 #include "oram/path_oram.hh"
 
-#include <algorithm>
-#include <cassert>
-#include <utility>
-
 #include "obs/trace.hh"
-#include "oram/bucket_ops.hh"
-#include "oram/evict_kernel.hh"
-#include "oram/subtree_cache.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 
 namespace proram
 {
 
-namespace
-{
-
-// Local aliases keep the hot loops exactly as readable as the former
-// file-scope accessors.
-
-inline std::uint32_t
-bucketOccupancy(SubtreeCache *cache, BinaryTree &tree, TreeIdx node)
-    PRORAM_REQUIRES(cache->mutexFor(node))
-{
-    return bucket_ops::occupancy(cache, tree, node);
-}
-
-inline std::uint32_t
-bucketFreeSlots(SubtreeCache *cache, BinaryTree &tree, TreeIdx node)
-    PRORAM_REQUIRES(cache->mutexFor(node))
-{
-    return bucket_ops::freeSlots(cache, tree, node);
-}
-
-inline BlockId
-bucketSlotId(SubtreeCache *cache, BinaryTree &tree, TreeIdx node,
-             std::uint32_t i)
-    PRORAM_REQUIRES(cache->mutexFor(node))
-{
-    return bucket_ops::slotId(cache, tree, node, i);
-}
-
-inline std::uint64_t
-bucketSlotData(SubtreeCache *cache, BinaryTree &tree, TreeIdx node,
-               std::uint32_t i)
-    PRORAM_REQUIRES(cache->mutexFor(node))
-{
-    return bucket_ops::slotData(cache, tree, node, i);
-}
-
-inline void
-bucketClearSlot(SubtreeCache *cache, BinaryTree &tree, TreeIdx node,
-                std::uint32_t i)
-    PRORAM_REQUIRES(cache->mutexFor(node))
-{
-    bucket_ops::clearSlot(cache, tree, node, i);
-}
-
-inline bool
-bucketTryPlace(SubtreeCache *cache, BinaryTree &tree, TreeIdx node,
-               BlockId id, std::uint64_t data)
-    PRORAM_REQUIRES(cache->mutexFor(node))
-{
-    return bucket_ops::tryPlace(cache, tree, node, id, data);
-}
-
-} // namespace
-
 PathOram::PathOram(const OramConfig &cfg, PositionMap &pos_map)
     : OramScheme(cfg, pos_map)
 {
-    // Pre-size every scratch buffer from the tree geometry so the
-    // first accesses after construction are allocation-free too
-    // (previously the per-level vectors warmed up lazily). The slot
-    // bound matches the stash lanes' reserve plus one path's worth of
-    // readPath growth; reserveScratch() covers the (rare) overshoot.
-    const std::size_t slot_bound =
-        static_cast<std::size_t>(cfg.stashCapacity) * 2 +
-        static_cast<std::size_t>(tree_.levels() + 1) * tree_.z();
-    reserveScratch(slot_bound);
-    const std::size_t level_slots = tree_.levels() + 2;
-    histScratch_.resize(level_slots, 0);
-    levelStartScratch_.resize(level_slots, 0);
-    levelCursorScratch_.resize(level_slots, 0);
-}
-
-void
-PathOram::reserveScratch(std::size_t slots)
-{
-    if (levelScratch_.size() < slots)
-        levelScratch_.resize(slots);
-    if (sortedScratch_.size() < slots)
-        sortedScratch_.resize(slots);
-    if (poolScratch_.capacity() < slots)
-        poolScratch_.reserve(slots);
-}
-
-void
-PathOram::onEnableConcurrent()
-{
-    windowLevelsOnPath_ =
-        cache_ != nullptr && cache_->windowEnabled()
-            ? std::min<std::uint64_t>(cache_->windowLevels(),
-                                      tree_.levels() + 1)
-            : 0;
 }
 
 PRORAM_OBLIVIOUS PRORAM_HOT void
 PathOram::readPath(Leaf leaf)
 {
-    if (cache_ != nullptr) {
-        // Concurrent mode: same public access pattern, but routed
-        // through the stage pair so bucket traffic takes node locks
-        // (and the dedup window, including the claim-gated skim) and
-        // stash inserts batch by shard. fetchPath counts the path
-        // read and emits the trace scope.
-        static thread_local std::vector<FetchedBlock> buf;
-        if (buf.size() < maxPathBlocks()) {
-            // PRORAM_LINT_ALLOW(hot-alloc): thread-local, sized once.
-            buf.resize(maxPathBlocks());
-        }
-        const std::size_t n = fetchPath(leaf, buf.data());
-        absorbPath(buf.data(), n);
-        return;
-    }
     PRORAM_TRACE_SCOPE_ARG("oram", "readPath", "leaf", leaf);
     ++pathReads_;
     const std::uint32_t z = tree_.z();
@@ -145,351 +35,11 @@ PathOram::readPath(Leaf leaf)
     }
 }
 
-// Thread-safety escape: dual serial/concurrent body - the per-level
-// guard is conditionally empty in serial mode, a shape the analysis
-// cannot model. The locking contract (node locks only, one at a
-// time) is documented in scheme.hh and rank-checked in Debug builds.
-PRORAM_OBLIVIOUS PRORAM_HOT std::size_t
-PathOram::fetchPath(Leaf leaf, FetchedBlock *out)
-    PRORAM_NO_THREAD_SAFETY_ANALYSIS
-{
-    // Concurrent-pipeline twin of readPath: same public access
-    // pattern (all L+1 buckets of one path, root to leaf), but blocks
-    // land in a caller-local buffer instead of the stash so no stash
-    // lock is needed. Each bucket is held exclusively only while its
-    // slots are copied and cleared; dedicated buckets route through
-    // the dedup window, so an overlapping in-flight path adopts the
-    // resident copy instead of re-reading the arena.
-    PRORAM_TRACE_SCOPE_ARG("oram", "readPath", "leaf", leaf);
-    ++pathReads_;
-    // Claim-gated skim (concurrent mode): an unclaimed block can stay
-    // in its bucket instead of round-tripping through the stash. Only
-    // claimed blocks (the in-flight remap set - the demanded super
-    // block's members and the pos-map blocks) can be remapped by the
-    // policy, so an unclaimed block's path assignment cannot change
-    // while it sits in place, and the Path ORAM invariant (block on
-    // its mapped path or in the stash) holds without moving it; an
-    // overlapping fetch that does extract it clears the slot under
-    // the same node lock, so no copy is ever duplicated. Every
-    // kWindowResortPeriod-th fetch extracts in full so the classic
-    // path re-sort keeps running at reduced cadence (downward
-    // placement flux stays alive, the stash stays bounded). The
-    // cadence is a function of the public fetch count only; the
-    // observable access pattern is the unchanged L+1 buckets of one
-    // path either way.
-    // Weyl-hash the fetch ordinal instead of taking it mod the
-    // period: the raw sequence interleaves data and pos-map paths in
-    // a near-periodic pattern that a plain modulus locks onto (e.g.
-    // every data path resorting, every pos-map path skimming).
-    const std::uint64_t seq =
-        fetchSeq_.fetch_add(1, std::memory_order_relaxed);
-    const bool resort = (seq * 0x9E3779B97F4A7C15ULL >> 32) %
-                            kWindowResortPeriod ==
-                        0;
-    const std::uint32_t z = tree_.z();
-    std::size_t n = 0;
-    if (cache_ != nullptr) {
-        // Batched lock accounting: one add per path, not per bucket.
-        cache_->noteAcquisitions(tree_.levels() + 1);
-        cache_->noteWindowTouches(windowLevelsOnPath_);
-    }
-    for (Level level{0}; level <= tree_.leafLevel(); ++level) {
-        const TreeIdx node = tree_.nodeOnPath(leaf, level);
-        const util::ScopedLock guard =
-            cache_ != nullptr ? cache_->lockNodeFast(node)
-                              : util::ScopedLock();
-        if (bucketOccupancy(cache_, tree_, node) == 0)
-            continue;
-        const bool skim =
-            !resort && cache_ != nullptr && claimFilter_ != nullptr;
-        for (std::uint32_t i = 0; i < z; ++i) {
-            const BlockId id = bucketSlotId(cache_, tree_, node, i);
-            if (id == kInvalidBlock)
-                continue;
-            // The claim probe decides only whether the block transits
-            // the stash or stays put in its bucket - both are
-            // controller-internal state; the externally observable
-            // bucket sequence (this path's L+1 nodes) is identical
-            // either way.
-            // PRORAM_LINT_ALLOW(secret-branch): see above.
-            if (skim && claimFilter_[id.value()].load(
-                            std::memory_order_relaxed) == 0)
-                continue; // unclaimed: stays in place on its path
-            out[n++] =
-                FetchedBlock{id, bucketSlotData(cache_, tree_, node, i)};
-            bucketClearSlot(cache_, tree_, node, i);
-        }
-    }
-    return n;
-}
-
 PRORAM_OBLIVIOUS PRORAM_HOT void
 PathOram::writePath(Leaf leaf)
 {
-    if (cache_ != nullptr) {
-        // Concurrent mode: the member eviction scratch is
-        // unsynchronized, so route to the sharded pass.
-        evictPath(leaf);
-        return;
-    }
     PRORAM_TRACE_SCOPE_ARG("oram", "writePath", "leaf", leaf);
-    evictClassify(leaf);
-    evictWriteBack(leaf);
-}
-
-PRORAM_OBLIVIOUS PRORAM_HOT void
-PathOram::evictClassify(Leaf leaf)
-{
-    // Counting-sort eviction: classify every stash slot's deepest
-    // eligible level in one vectorized sweep over the contiguous leaf
-    // lane, histogram the live slots per level, then stable-scatter
-    // ids + payloads into one flat array grouped deepest level first.
-    // Insertion order within a level is preserved, so the write-back
-    // fill makes bit-identical placement decisions to the former
-    // per-level scratch-vector pushes. Serial mode only (nothing is
-    // ever pinned): the concurrent controller runs evictPath().
-    const std::uint32_t levels = tree_.levels();
-    const std::size_t slots = stash_.slotCount();
-    reserveScratch(slots);
-    {
-        PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
-        evict::classifyLevels(stash_.leafLane(), slots, leaf, levels,
-                              levelScratch_.data());
-    }
-
-    const BlockId *ids = stash_.idLane();
-    const Leaf *leaves = stash_.leafLane();
-    const std::uint64_t *payloads = stash_.dataLane();
-    for (std::uint32_t l = 0; l <= levels; ++l)
-        histScratch_[l] = 0;
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (ids[i] == kInvalidBlock)
-            continue;
-        panic_if(leaves[i] == kInvalidLeaf, "stash block ", ids[i],
-                 " has no leaf");
-        ++histScratch_[levelScratch_[i]];
-    }
-    std::uint32_t offset = 0;
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        levelStartScratch_[l] = offset;
-        levelCursorScratch_[l] = offset;
-        offset += histScratch_[l];
-    }
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (ids[i] == kInvalidBlock)
-            continue;
-        sortedScratch_[levelCursorScratch_[levelScratch_[i]]++] =
-            Evictable{ids[i], payloads[i]};
-    }
-}
-
-PRORAM_OBLIVIOUS PRORAM_HOT void
-PathOram::evictWriteBack(Leaf leaf)
-{
-    // Fill buckets greedily from the leaf upward; unplaced deeper
-    // blocks stay pooled and may still land closer to the root.
-    // Serial mode only; see evictClassify().
-    PRORAM_TRACE_SCOPE_ARG("evict", "scatterFill", "leaf", leaf);
-    const std::uint32_t levels = tree_.levels();
-    poolScratch_.clear();
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        const std::uint32_t start = levelStartScratch_[l];
-        const std::uint32_t end = start + histScratch_[l];
-        for (std::uint32_t s = start; s < end; ++s) {
-            // PRORAM_LINT_ALLOW(hot-alloc): capacity pre-reserved by
-            // reserveScratch; push_back never grows in steady state.
-            poolScratch_.push_back(sortedScratch_[s]);
-        }
-        const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
-        while (!poolScratch_.empty() && tree_.freeSlots(node) != 0) {
-            const Evictable ev = poolScratch_.back();
-            poolScratch_.pop_back();
-            tree_.tryPlace(node, ev.id, ev.data);
-            const bool erased = stash_.erase(ev.id);
-            assert(erased && "eligible block vanished from stash");
-            (void)erased;
-        }
-    }
-    stash_.sampleOccupancy();
-}
-
-PRORAM_OBLIVIOUS PRORAM_HOT void
-PathOram::evictPath(Leaf leaf)
-{
-    // Sharded eviction pass (concurrent mode). Phase 1 classifies
-    // shard by shard under each shard's lock, collecting one
-    // (id, level) candidate per live unpinned slot into thread-local
-    // scratch - candidates are *hints*, because the shard lock is
-    // released before placement and a concurrent request may claim,
-    // remap, or evict any of them in between. Phase 2 fills buckets
-    // leaf upward like the serial pass, but revalidates every
-    // candidate under its shard lock (resident, unpinned, current
-    // leaf still shares the bucket's level) immediately before
-    // placing it under the node lock; the stash copy is erased before
-    // the node lock releases, so no concurrent fetch can ever observe
-    // a block both in the tree and in the stash. The public access
-    // pattern is unchanged: the same L+1 buckets of one path, leaf
-    // upward.
-    PRORAM_TRACE_SCOPE_ARG("evict", "evictPath", "leaf", leaf);
-    panic_if(cache_ == nullptr, "evictPath requires concurrent mode");
-
-    struct Scratch
-    {
-        std::vector<std::uint32_t> levels;
-        std::vector<BlockId> cand;
-        std::vector<std::uint32_t> candLevel;
-        std::vector<std::uint32_t> hist;
-        std::vector<std::uint32_t> startAt;
-        std::vector<std::uint32_t> cursor;
-        std::vector<BlockId> sorted;
-        std::vector<BlockId> pool;
-        std::vector<BlockId> keep;
-    };
-    static thread_local Scratch sc;
-
-    const std::uint32_t levels = tree_.levels();
-    const std::uint32_t level_slots = levels + 2;
-    if (sc.hist.size() < level_slots) {
-        // PRORAM_LINT_ALLOW(hot-alloc): thread-local, sized once.
-        sc.hist.resize(level_slots);
-        sc.startAt.resize(level_slots);
-        // PRORAM_LINT_ALLOW(hot-alloc): thread-local, sized once.
-        sc.cursor.resize(level_slots);
-    }
-
-    // Phase 1: per-shard classification sweep (shard lock held only
-    // across its own contiguous leaf lane).
-    std::uint64_t shard_locks = 0;
-    sc.cand.clear();
-    sc.candLevel.clear();
-    const std::uint32_t shards = stash_.shardCount();
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        // Lock-free empty-shard skip: the stash runs near empty in
-        // steady state, so most shards have nothing to classify. A
-        // block absorbed concurrently after the probe is only a
-        // missed *hint* - it belongs to an in-flight request (pinned,
-        // not evictable) or waits for the next pass.
-        if (stash_.liveCount(s) == 0)
-            continue;
-        const util::ScopedLock lk = stash_.lockShardFast(s);
-        ++shard_locks;
-        const std::size_t slots = stash_.slotCount(s);
-        if (sc.levels.size() < slots) {
-            // PRORAM_LINT_ALLOW(hot-alloc): thread-local, grows to
-            // the largest shard once.
-            sc.levels.resize(slots);
-        }
-        evict::classifyLevels(stash_.leafLane(s), slots, leaf, levels,
-                              sc.levels.data());
-        const BlockId *ids = stash_.idLane(s);
-        const std::uint8_t *pins = stash_.pinnedLane(s);
-        for (std::size_t i = 0; i < slots; ++i) {
-            if (ids[i] == kInvalidBlock)
-                continue;
-            if (pins[i] != 0)
-                continue;
-            // PRORAM_LINT_ALLOW(hot-alloc): thread-local; capacity
-            // reaches steady state after the first paths.
-            sc.cand.push_back(ids[i]);
-            // PRORAM_LINT_ALLOW(hot-alloc): see above.
-            sc.candLevel.push_back(sc.levels[i]);
-        }
-    }
-
-    // Counting sort, deepest level first; insertion order within a
-    // level is preserved (same placement policy as the serial pass).
-    for (std::uint32_t l = 0; l <= levels; ++l)
-        sc.hist[l] = 0;
-    const std::size_t ncand = sc.cand.size();
-    for (std::size_t i = 0; i < ncand; ++i)
-        ++sc.hist[sc.candLevel[i]];
-    std::uint32_t offset = 0;
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        sc.startAt[l] = offset;
-        sc.cursor[l] = offset;
-        offset += sc.hist[l];
-    }
-    if (sc.sorted.size() < ncand) {
-        // PRORAM_LINT_ALLOW(hot-alloc): thread-local, steady state.
-        sc.sorted.resize(ncand);
-    }
-    for (std::size_t i = 0; i < ncand; ++i)
-        sc.sorted[sc.cursor[sc.candLevel[i]]++] = sc.cand[i];
-
-    // Phase 2: fill leaf upward under ONE node hold per level - the
-    // free-slot count cannot change while the hold lasts, so the pass
-    // stops the moment the bucket fills without per-candidate
-    // re-peeks. Each candidate is revalidated under its shard lock
-    // (node < shard, DESIGN.md Sec. 13) immediately before placement;
-    // the stash copy is erased under the same shard hold, so no
-    // concurrent fetch can ever observe a block both in the tree and
-    // in the stash. Deferred candidates (bucket full, or remapped
-    // shallower mid-pass) stay pooled for the next level up. Levels
-    // with an empty pool are skipped entirely: the skip depends only
-    // on how many classified candidates remain, never on bucket
-    // contents, and lock traffic is controller-internal state anyway.
-    std::uint64_t node_locks = 0;
-    std::uint64_t window_holds = 0;
-    sc.pool.clear();
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        const std::uint32_t cstart = sc.startAt[l];
-        const std::uint32_t cend = cstart + sc.hist[l];
-        for (std::uint32_t c = cstart; c < cend; ++c) {
-            // PRORAM_LINT_ALLOW(hot-alloc): thread-local steady state.
-            sc.pool.push_back(sc.sorted[c]);
-        }
-        if (sc.pool.empty())
-            continue;
-        const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
-        const util::ScopedLock guard = cache_->lockNodeFast(node);
-        ++node_locks;
-        window_holds += cache_->windowed(node) ? 1 : 0;
-        std::uint32_t free_now = bucketFreeSlots(cache_, tree_, node);
-        if (free_now == 0)
-            continue;
-        sc.keep.clear();
-        while (!sc.pool.empty()) {
-            const BlockId id = sc.pool.back();
-            sc.pool.pop_back();
-            if (free_now == 0) {
-                // PRORAM_LINT_ALLOW(hot-alloc): thread-local.
-                sc.keep.push_back(id);
-                continue;
-            }
-            const std::uint32_t s = stash_.shardOf(id);
-            const util::ScopedLock sl = stash_.lockShardFast(s);
-            ++shard_locks;
-            Leaf cur = kInvalidLeaf;
-            std::uint64_t payload = 0;
-            bool pinned = false;
-            const bool resident =
-                stash_.lookupLocked(s, id, &cur, &payload, &pinned);
-            const bool evictable = resident && !pinned;
-            if (!evictable)
-                continue; // claimed or evicted since classification
-            const std::uint32_t deepest =
-                tree_.commonLevel(cur, leaf).value();
-            if (deepest < l) {
-                // Remapped mid-pass: eligible again at every level
-                // at or above the new common level (l == 0 always
-                // qualifies, so deferral terminates).
-                // PRORAM_LINT_ALLOW(hot-alloc): thread-local.
-                sc.keep.push_back(id);
-                continue;
-            }
-            const bool placed =
-                bucketTryPlace(cache_, tree_, node, id, payload);
-            panic_if(!placed, "bucket with ", free_now,
-                     " free slots refused a placement");
-            stash_.eraseLocked(s, id);
-            --free_now;
-        }
-        std::swap(sc.pool, sc.keep);
-    }
-    cache_->noteAcquisitions(node_locks);
-    cache_->noteWindowTouches(window_holds);
-    stash_.noteShardAcquisitions(shard_locks);
-    stash_.sampleOccupancy();
+    evictOnto(leaf);
 }
 
 PRORAM_OBLIVIOUS Leaf

@@ -11,10 +11,6 @@
 #ifndef PRORAM_ORAM_PATH_ORAM_HH
 #define PRORAM_ORAM_PATH_ORAM_HH
 
-#include <atomic>
-#include <cstddef>
-#include <vector>
-
 #include "oram/scheme.hh"
 
 namespace proram
@@ -38,48 +34,9 @@ class PathOram final : public OramScheme
     /**
      * Evict as many stash blocks as possible onto path @p leaf,
      * deepest buckets first (step 5). Blocks land only in buckets that
-     * lie on both @p leaf and their own mapped path. Equivalent to
-     * evictClassify(leaf) followed by evictWriteBack(leaf).
+     * lie on both @p leaf and their own mapped path.
      */
     void writePath(Leaf leaf) override;
-
-    /**
-     * Stage: path fetch. Copy every real block on path @p leaf into
-     * @p out (capacity >= maxPathBlocks()) and clear the tree slots.
-     * Takes per-node locks only - never the stash - so it may run
-     * concurrently with other requests' fetch/write-back traffic.
-     * @return number of blocks copied.
-     */
-    std::size_t fetchPath(Leaf leaf, FetchedBlock *out) override;
-
-    /**
-     * Stage: evict classify (serial). Classify every stash slot's
-     * deepest eligible level on path @p leaf and counting-sort the
-     * live slots deepest level first into internal scratch. Serial
-     * mode only - the member scratch is unsynchronized; concurrent
-     * evictions run evictPath().
-     */
-    void evictClassify(Leaf leaf) override;
-
-    /**
-     * Stage: write-back (serial). Fill buckets of path @p leaf from
-     * the classified scratch, leaf upward. Serial mode only; see
-     * evictClassify().
-     */
-    void evictWriteBack(Leaf leaf) override;
-
-    /**
-     * Stage: concurrent eviction pass over path @p leaf - the
-     * sharded twin of evictClassify + evictWriteBack. Classifies
-     * shard by shard under each shard's lock into thread-local
-     * scratch, then fills buckets leaf upward under ONE node hold per
-     * level, revalidating every candidate under its shard lock
-     * (current leaf, pin state, payload) inside the node hold -
-     * classification is only a hint once the global stash lock is
-     * gone. Lock order: node, then stash-shard (DESIGN.md Sec. 13).
-     * Caller must hold no locks; concurrent mode only.
-     */
-    void evictPath(Leaf leaf) override;
 
     /**
      * Background eviction (Sec. 2.4): read + write a random path
@@ -87,45 +44,6 @@ class PathOram final : public OramScheme
      * @return the (random) leaf that was accessed.
      */
     Leaf dummyAccess() override;
-
-  private:
-    /** A stash block staged for eviction: id plus payload captured in
-     *  the single stash scan so write-back needs no re-lookup. */
-    struct Evictable
-    {
-        BlockId id;
-        std::uint64_t data;
-    };
-
-    /** Grow the per-slot scratch to cover @p slots stash slots. */
-    void reserveScratch(std::size_t slots);
-
-    void onEnableConcurrent() override;
-
-    /** Windowed (dedup-resident) buckets on any one path: cached at
-     *  enableConcurrent so fetchPath's batched touch accounting is a
-     *  constant add. Zero when the window is disabled. */
-    std::uint64_t windowLevelsOnPath_ = 0;
-    /** Fetch sequence number: every kWindowResortPeriod-th fetch
-     *  extracts windowed buckets in full so the classic Path ORAM
-     *  path re-sort still runs (keeps deep placement alive and the
-     *  stash bounded). Counter-based, so the cadence depends only on
-     *  the public number of path reads, never on their contents. */
-    static constexpr std::uint64_t kWindowResortPeriod = 4;
-    std::atomic<std::uint64_t> fetchSeq_{0};
-
-    // writePath scratch, pre-sized from tree geometry at construction
-    // (see reserveScratch) so even the first paths allocate nothing.
-    /** Per-slot eviction level, filled by evict::classifyLevels. */
-    std::vector<std::uint32_t> levelScratch_;
-    /** Counting sort: per-level population / start offset / cursor. */
-    std::vector<std::uint32_t> histScratch_;
-    std::vector<std::uint32_t> levelStartScratch_;
-    std::vector<std::uint32_t> levelCursorScratch_;
-    /** Evictables grouped deepest level first, insertion order kept
-     *  within each level (the stable-scatter output). */
-    std::vector<Evictable> sortedScratch_;
-    std::vector<Evictable> poolScratch_;
 };
 
 } // namespace proram

@@ -1,13 +1,6 @@
 #include "oram/ring_oram.hh"
 
-#include <algorithm>
-#include <cassert>
-#include <utility>
-
 #include "obs/trace.hh"
-#include "oram/bucket_ops.hh"
-#include "oram/evict_kernel.hh"
-#include "oram/subtree_cache.hh"
 #include "util/annotations.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
@@ -20,27 +13,6 @@ RingOram::RingOram(const OramConfig &cfg, PositionMap &pos_map)
       a_(cfg.resolvedRingA()),
       readCount_(tree_.numBuckets(), 0)
 {
-    // Same scratch pre-sizing as Path ORAM: first accesses after
-    // construction are allocation-free.
-    const std::size_t slot_bound =
-        static_cast<std::size_t>(cfg.stashCapacity) * 2 +
-        static_cast<std::size_t>(tree_.levels() + 1) * tree_.z();
-    reserveScratch(slot_bound);
-    const std::size_t level_slots = tree_.levels() + 2;
-    histScratch_.resize(level_slots, 0);
-    levelStartScratch_.resize(level_slots, 0);
-    levelCursorScratch_.resize(level_slots, 0);
-}
-
-void
-RingOram::reserveScratch(std::size_t slots)
-{
-    if (levelScratch_.size() < slots)
-        levelScratch_.resize(slots);
-    if (sortedScratch_.size() < slots)
-        sortedScratch_.resize(slots);
-    if (poolScratch_.capacity() < slots)
-        poolScratch_.reserve(slots);
 }
 
 Leaf
@@ -56,14 +28,7 @@ RingOram::evictionLeafAt(std::uint64_t g) const
 Leaf
 RingOram::nextEvictionLeaf()
 {
-    // One atomic schedule step: the counter draw and the observer
-    // call happen under the same (leaf-level) lock, so the audited
-    // eviction sequence is exactly g = 0, 1, 2, ... even when
-    // concurrent requests trigger evictions back to back.
-    const util::ScopedLock g(scheduleMutex_);
-    const std::uint64_t seq =
-        evictionSeq_.fetch_add(1, std::memory_order_relaxed);
-    const Leaf leaf = evictionLeafAt(seq);
+    const Leaf leaf = evictionLeafAt(evictionSeq_++);
     if (evictionObserver_)
         evictionObserver_(leaf);
     return leaf;
@@ -77,10 +42,9 @@ RingOram::noteBucketRead(TreeIdx node, std::uint32_t extracted)
     // otherwise. A bucket that held several interest blocks (a
     // co-located super block) is billed one read per block: the
     // hardware design would need that many single-block reads too.
-    // The counter write is guarded by the bucket's node lock in
-    // concurrent mode; the early-reshuffle itself is metadata-only at
-    // this simulator's bucket granularity (the intra-bucket
-    // permutation is not modeled - see ring_oram.hh).
+    // The early-reshuffle itself is metadata-only at this simulator's
+    // bucket granularity (the intra-bucket permutation is not modeled
+    // - see ring_oram.hh).
     const std::uint32_t reads = extracted > 1 ? extracted : 1;
     bucketReads_ += reads;
     if (extracted == 0)
@@ -98,19 +62,6 @@ RingOram::noteBucketRead(TreeIdx node, std::uint32_t extracted)
 PRORAM_OBLIVIOUS PRORAM_HOT void
 RingOram::readPath(Leaf leaf)
 {
-    if (cache_ != nullptr) {
-        // Concurrent mode: route through the stage pair so bucket
-        // traffic takes node locks and stash inserts batch by shard
-        // (fetchPath counts the path read and the bucket reads).
-        static thread_local std::vector<FetchedBlock> buf;
-        if (buf.size() < maxPathBlocks()) {
-            // PRORAM_LINT_ALLOW(hot-alloc): thread-local, sized once.
-            buf.resize(maxPathBlocks());
-        }
-        const std::size_t n = fetchPath(leaf, buf.data());
-        absorbPath(buf.data(), n);
-        return;
-    }
     PRORAM_TRACE_SCOPE_ARG("oram", "readPath", "leaf", leaf);
     ++pathReads_;
     const std::uint32_t z = tree_.z();
@@ -144,186 +95,17 @@ RingOram::readPath(Leaf leaf)
     }
 }
 
-// Thread-safety escape: dual serial/concurrent body - the per-level
-// guard is conditionally empty in serial mode, a shape the analysis
-// cannot model. The locking contract (node locks only, one at a
-// time) is documented in scheme.hh and rank-checked in Debug builds.
-PRORAM_OBLIVIOUS PRORAM_HOT std::size_t
-RingOram::fetchPath(Leaf leaf, FetchedBlock *out)
-    PRORAM_NO_THREAD_SAFETY_ANALYSIS
-{
-    // Concurrent-pipeline fetch: the claimed blocks on the path (the
-    // in-flight interest set - exactly the blocks stage 1 claimed)
-    // move to the caller's buffer under per-node locks; everything
-    // else stays in place. Claim-based selection instead of the
-    // serial leaf probe keeps the stage free of position-map reads
-    // (those are meta-locked); the two pick the same blocks because a
-    // claim is only ever taken on blocks mapped to a leaf the claimer
-    // is about to read. Every kResortPeriod-th fetch extracts in full
-    // so tree-resident blocks keep cycling through the stash and the
-    // scheduled evictions can re-sort them (Ring's eviction pass
-    // rewrites paths from the stash, so placement flux must stay
-    // alive); the cadence is a function of the public fetch ordinal
-    // only.
-    PRORAM_TRACE_SCOPE_ARG("oram", "readPath", "leaf", leaf);
-    ++pathReads_;
-    const std::uint64_t seq =
-        fetchSeq_.fetch_add(1, std::memory_order_relaxed);
-    const bool resort =
-        (seq * 0x9E3779B97F4A7C15ULL >> 32) % kResortPeriod == 0;
-    const std::uint32_t z = tree_.z();
-    std::size_t n = 0;
-    if (cache_ != nullptr) {
-        cache_->noteAcquisitions(tree_.levels() + 1);
-        if (cache_->windowEnabled()) {
-            cache_->noteWindowTouches(std::min<std::uint64_t>(
-                cache_->windowLevels(), tree_.levels() + 1));
-        }
-    }
-    const bool skim =
-        !resort && cache_ != nullptr && claimFilter_ != nullptr;
-    for (Level level{0}; level <= tree_.leafLevel(); ++level) {
-        const TreeIdx node = tree_.nodeOnPath(leaf, level);
-        const util::ScopedLock guard =
-            cache_ != nullptr ? cache_->lockNodeFast(node)
-                              : util::ScopedLock();
-        std::uint32_t extracted = 0;
-        if (bucket_ops::occupancy(cache_, tree_, node) != 0) {
-            for (std::uint32_t i = 0; i < z; ++i) {
-                const BlockId id =
-                    bucket_ops::slotId(cache_, tree_, node, i);
-                if (id == kInvalidBlock)
-                    continue;
-                // The claim probe decides only whether the block
-                // transits the stash or stays put - controller-
-                // internal state; the observable bucket sequence is
-                // this path's L+1 nodes either way.
-                // PRORAM_LINT_ALLOW(secret-branch): see above.
-                if (skim && claimFilter_ != nullptr &&
-                    claimFilter_[id.value()].load(
-                        std::memory_order_relaxed) == 0) {
-                    continue; // unclaimed: stays on its mapped path
-                }
-                out[n++] = FetchedBlock{
-                    id, bucket_ops::slotData(cache_, tree_, node, i)};
-                bucket_ops::clearSlot(cache_, tree_, node, i);
-                ++extracted;
-            }
-        }
-        noteBucketRead(node, extracted);
-    }
-    return n;
-}
-
 PRORAM_OBLIVIOUS PRORAM_HOT void
 RingOram::writePath(Leaf leaf)
 {
-    if (cache_ != nullptr) {
-        // Concurrent mode: the access count and schedule live behind
-        // the stage interface.
-        evictPath(leaf);
-        return;
-    }
     // Ring ORAM writes nothing on the demand path: the access is
     // counted and every A-th one triggers the scheduled eviction on
     // the next reverse-lexicographic path. @p leaf is public either
     // way; using it only for the trace keeps the write schedule fully
     // demand-independent.
     PRORAM_TRACE_SCOPE_ARG("oram", "writePath", "leaf", leaf);
-    const std::uint64_t seq =
-        accessSeq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (seq % a_ == 0) {
+    if (++accessSeq_ % a_ == 0) {
         runScheduledEviction();
-        return;
-    }
-    stash_.sampleOccupancy();
-}
-
-PRORAM_OBLIVIOUS PRORAM_HOT void
-RingOram::evictClassify(Leaf leaf)
-{
-    // Greedy counting-sort classification against the eviction path -
-    // the same kernel and placement policy as Path ORAM, but @p leaf
-    // comes from the reverse-lexicographic schedule, never from the
-    // demand sequence. Serial mode only (member scratch).
-    const std::uint32_t levels = tree_.levels();
-    const std::size_t slots = stash_.slotCount();
-    reserveScratch(slots);
-    {
-        PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
-        evict::classifyLevels(stash_.leafLane(), slots, leaf, levels,
-                              levelScratch_.data());
-    }
-
-    const BlockId *ids = stash_.idLane();
-    const Leaf *leaves = stash_.leafLane();
-    const std::uint64_t *payloads = stash_.dataLane();
-    for (std::uint32_t l = 0; l <= levels; ++l)
-        histScratch_[l] = 0;
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (ids[i] == kInvalidBlock)
-            continue;
-        panic_if(leaves[i] == kInvalidLeaf, "stash block ", ids[i],
-                 " has no leaf");
-        ++histScratch_[levelScratch_[i]];
-    }
-    std::uint32_t offset = 0;
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        levelStartScratch_[l] = offset;
-        levelCursorScratch_[l] = offset;
-        offset += histScratch_[l];
-    }
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (ids[i] == kInvalidBlock)
-            continue;
-        sortedScratch_[levelCursorScratch_[levelScratch_[i]]++] =
-            Evictable{ids[i], payloads[i]};
-    }
-}
-
-PRORAM_OBLIVIOUS PRORAM_HOT void
-RingOram::evictWriteBack(Leaf leaf)
-{
-    // Fill the eviction path's buckets greedily from the leaf upward
-    // (the scheduled rewrite); unplaced deeper blocks stay pooled and
-    // may still land closer to the root. Serial mode only.
-    PRORAM_TRACE_SCOPE_ARG("evict", "scatterFill", "leaf", leaf);
-    const std::uint32_t levels = tree_.levels();
-    poolScratch_.clear();
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        const std::uint32_t start = levelStartScratch_[l];
-        const std::uint32_t end = start + histScratch_[l];
-        for (std::uint32_t s = start; s < end; ++s) {
-            // PRORAM_LINT_ALLOW(hot-alloc): capacity pre-reserved by
-            // reserveScratch; push_back never grows in steady state.
-            poolScratch_.push_back(sortedScratch_[s]);
-        }
-        const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
-        while (!poolScratch_.empty() && tree_.freeSlots(node) != 0) {
-            const Evictable ev = poolScratch_.back();
-            poolScratch_.pop_back();
-            tree_.tryPlace(node, ev.id, ev.data);
-            const bool erased = stash_.erase(ev.id);
-            assert(erased && "eligible block vanished from stash");
-            (void)erased;
-        }
-    }
-    stash_.sampleOccupancy();
-}
-
-PRORAM_OBLIVIOUS PRORAM_HOT void
-RingOram::evictPath(Leaf leaf)
-{
-    // Concurrent access hook: @p leaf (the demand path) is public but
-    // unused - Ring's tree writes follow the reverse-lexicographic
-    // schedule only. Counts one access; every A-th runs the sharded
-    // scheduled eviction.
-    panic_if(cache_ == nullptr, "evictPath requires concurrent mode");
-    (void)leaf;
-    const std::uint64_t seq =
-        accessSeq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (seq % a_ == 0) {
-        runScheduledEvictionConcurrent();
         return;
     }
     stash_.sampleOccupancy();
@@ -332,11 +114,11 @@ RingOram::evictPath(Leaf leaf)
 PRORAM_OBLIVIOUS Leaf
 RingOram::runScheduledEviction()
 {
-    // Serial scheduled eviction: extract every real block on the
-    // g-th reverse-lexicographic path into the stash (the rewrite
-    // reads the whole path - resetting the read counters models the
-    // fresh permutation the real rewrite installs), then greedily
-    // write the path back from the stash.
+    // Scheduled eviction: extract every real block on the g-th
+    // reverse-lexicographic path into the stash (the rewrite reads
+    // the whole path - resetting the read counters models the fresh
+    // permutation the real rewrite installs), then greedily write the
+    // path back from the stash.
     const Leaf ev = nextEvictionLeaf();
     PRORAM_TRACE_SCOPE_ARG("evict", "ringScheduled", "leaf", ev);
     ++pathReads_;
@@ -357,166 +139,8 @@ RingOram::runScheduledEviction()
             tree_.clearSlot(node, i);
         }
     }
-    evictClassify(ev);
-    evictWriteBack(ev);
+    evictOnto(ev);
     return ev;
-}
-
-PRORAM_OBLIVIOUS PRORAM_HOT Leaf
-RingOram::runScheduledEvictionConcurrent()
-{
-    // Sharded scheduled eviction (concurrent mode): the Path ORAM
-    // two-phase discipline (DESIGN.md Sec. 13) over the scheduled
-    // path - per-shard classification into thread-local scratch, then
-    // bucket fill leaf upward under ONE node hold per level with
-    // per-candidate shard revalidation. Unlike Path, every level's
-    // node lock is taken even with an empty candidate pool: the
-    // rewrite resets the bucket's read counter, and the reset must
-    // happen under the node hold. No prior path extraction - the
-    // fetch-stage resort keeps tree-resident blocks cycling through
-    // the stash instead.
-    const Leaf leaf = nextEvictionLeaf();
-    PRORAM_TRACE_SCOPE_ARG("evict", "ringScheduled", "leaf", leaf);
-    ++pathReads_;
-
-    struct Scratch
-    {
-        std::vector<std::uint32_t> levels;
-        std::vector<BlockId> cand;
-        std::vector<std::uint32_t> candLevel;
-        std::vector<std::uint32_t> hist;
-        std::vector<std::uint32_t> startAt;
-        std::vector<std::uint32_t> cursor;
-        std::vector<BlockId> sorted;
-        std::vector<BlockId> pool;
-        std::vector<BlockId> keep;
-    };
-    static thread_local Scratch sc;
-
-    const std::uint32_t levels = tree_.levels();
-    const std::uint32_t level_slots = levels + 2;
-    if (sc.hist.size() < level_slots) {
-        // PRORAM_LINT_ALLOW(hot-alloc): thread-local, sized once.
-        sc.hist.resize(level_slots);
-        sc.startAt.resize(level_slots);
-        // PRORAM_LINT_ALLOW(hot-alloc): thread-local, sized once.
-        sc.cursor.resize(level_slots);
-    }
-
-    // Phase 1: per-shard classification sweep against the scheduled
-    // path (candidates are hints; see PathOram::evictPath).
-    std::uint64_t shard_locks = 0;
-    sc.cand.clear();
-    sc.candLevel.clear();
-    const std::uint32_t shards = stash_.shardCount();
-    for (std::uint32_t s = 0; s < shards; ++s) {
-        if (stash_.liveCount(s) == 0)
-            continue;
-        const util::ScopedLock lk = stash_.lockShardFast(s);
-        ++shard_locks;
-        const std::size_t slots = stash_.slotCount(s);
-        if (sc.levels.size() < slots) {
-            // PRORAM_LINT_ALLOW(hot-alloc): thread-local, grows to
-            // the largest shard once.
-            sc.levels.resize(slots);
-        }
-        evict::classifyLevels(stash_.leafLane(s), slots, leaf, levels,
-                              sc.levels.data());
-        const BlockId *ids = stash_.idLane(s);
-        const std::uint8_t *pins = stash_.pinnedLane(s);
-        for (std::size_t i = 0; i < slots; ++i) {
-            if (ids[i] == kInvalidBlock)
-                continue;
-            if (pins[i] != 0)
-                continue;
-            // PRORAM_LINT_ALLOW(hot-alloc): thread-local; capacity
-            // reaches steady state after the first paths.
-            sc.cand.push_back(ids[i]);
-            // PRORAM_LINT_ALLOW(hot-alloc): see above.
-            sc.candLevel.push_back(sc.levels[i]);
-        }
-    }
-
-    for (std::uint32_t l = 0; l <= levels; ++l)
-        sc.hist[l] = 0;
-    const std::size_t ncand = sc.cand.size();
-    for (std::size_t i = 0; i < ncand; ++i)
-        ++sc.hist[sc.candLevel[i]];
-    std::uint32_t offset = 0;
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        sc.startAt[l] = offset;
-        sc.cursor[l] = offset;
-        offset += sc.hist[l];
-    }
-    if (sc.sorted.size() < ncand) {
-        // PRORAM_LINT_ALLOW(hot-alloc): thread-local, steady state.
-        sc.sorted.resize(ncand);
-    }
-    for (std::size_t i = 0; i < ncand; ++i)
-        sc.sorted[sc.cursor[sc.candLevel[i]]++] = sc.cand[i];
-
-    // Phase 2: fill leaf upward; counter reset + fill under one node
-    // hold per level.
-    std::uint64_t node_locks = 0;
-    std::uint64_t window_holds = 0;
-    sc.pool.clear();
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        const std::uint32_t cstart = sc.startAt[l];
-        const std::uint32_t cend = cstart + sc.hist[l];
-        for (std::uint32_t c = cstart; c < cend; ++c) {
-            // PRORAM_LINT_ALLOW(hot-alloc): thread-local steady state.
-            sc.pool.push_back(sc.sorted[c]);
-        }
-        const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
-        const util::ScopedLock guard = cache_->lockNodeFast(node);
-        ++node_locks;
-        window_holds += cache_->windowed(node) ? 1 : 0;
-        readCount_[node.value()] = 0;
-        std::uint32_t free_now =
-            bucket_ops::freeSlots(cache_, tree_, node);
-        if (free_now == 0 || sc.pool.empty())
-            continue;
-        sc.keep.clear();
-        while (!sc.pool.empty()) {
-            const BlockId id = sc.pool.back();
-            sc.pool.pop_back();
-            if (free_now == 0) {
-                // PRORAM_LINT_ALLOW(hot-alloc): thread-local.
-                sc.keep.push_back(id);
-                continue;
-            }
-            const std::uint32_t s = stash_.shardOf(id);
-            const util::ScopedLock sl = stash_.lockShardFast(s);
-            ++shard_locks;
-            Leaf cur = kInvalidLeaf;
-            std::uint64_t payload = 0;
-            bool pinned = false;
-            const bool resident =
-                stash_.lookupLocked(s, id, &cur, &payload, &pinned);
-            const bool evictable = resident && !pinned;
-            if (!evictable)
-                continue; // claimed or evicted since classification
-            const std::uint32_t deepest =
-                tree_.commonLevel(cur, leaf).value();
-            if (deepest < l) {
-                // PRORAM_LINT_ALLOW(hot-alloc): thread-local.
-                sc.keep.push_back(id);
-                continue;
-            }
-            const bool placed =
-                bucket_ops::tryPlace(cache_, tree_, node, id, payload);
-            panic_if(!placed, "bucket with ", free_now,
-                     " free slots refused a placement");
-            stash_.eraseLocked(s, id);
-            --free_now;
-        }
-        std::swap(sc.pool, sc.keep);
-    }
-    cache_->noteAcquisitions(node_locks);
-    cache_->noteWindowTouches(window_holds);
-    stash_.noteShardAcquisitions(shard_locks);
-    stash_.sampleOccupancy();
-    return leaf;
 }
 
 PRORAM_OBLIVIOUS Leaf
@@ -528,19 +152,17 @@ RingOram::dummyAccess()
     // returned leaf is the schedule's next reverse-lex path, public
     // by construction.
     PRORAM_TRACE_SCOPE("dummy", "ringBgEvict");
-    return cache_ != nullptr ? runScheduledEvictionConcurrent()
-                             : runScheduledEviction();
+    return runScheduledEviction();
 }
 
 SchemeCounters
 RingOram::schemeCounters() const
 {
     SchemeCounters c;
-    c.bucketReads = bucketReads_.value();
-    c.dummyReads = dummyReads_.value();
-    c.earlyReshuffles = earlyReshuffles_.value();
-    c.scheduledEvictions =
-        evictionSeq_.load(std::memory_order_relaxed);
+    c.bucketReads = bucketReads_;
+    c.dummyReads = dummyReads_;
+    c.earlyReshuffles = earlyReshuffles_;
+    c.scheduledEvictions = evictionSeq_;
     return c;
 }
 

@@ -25,13 +25,10 @@
 #ifndef PRORAM_ORAM_RING_ORAM_HH
 #define PRORAM_ORAM_RING_ORAM_HH
 
-#include <atomic>
-#include <cstddef>
-#include <mutex>
+#include <cstdint>
 #include <vector>
 
 #include "oram/scheme.hh"
-#include "util/mutex.hh"
 
 namespace proram
 {
@@ -61,51 +58,12 @@ class RingOram final : public OramScheme
     void writePath(Leaf leaf) override;
 
     /**
-     * Stage: path fetch (concurrent). Copy claimed blocks on path
-     * @p leaf into @p out under per-node locks and clear their tree
-     * slots; unclaimed blocks stay in place (they cannot be remapped
-     * while unclaimed - same argument as the Path ORAM skim). Every
-     * kResortPeriod-th fetch extracts in full so stale blocks keep
-     * re-sorting through the stash. Bucket read counters and early
-     * reshuffles are accounted under the same node holds.
-     */
-    std::size_t fetchPath(Leaf leaf, FetchedBlock *out) override;
-
-    /**
-     * Stage: evict classify (serial). Identical greedy counting-sort
-     * classification as Path ORAM, against the *eviction* path
-     * @p leaf. Serial mode only - member scratch is unsynchronized.
-     */
-    void evictClassify(Leaf leaf) override;
-
-    /** Stage: write-back fill of @p leaf (serial; see evictClassify). */
-    void evictWriteBack(Leaf leaf) override;
-
-    /**
-     * Stage: concurrent eviction hook. Counts one access; every A-th
-     * call runs the sharded eviction pass over the next scheduled
-     * reverse-lexicographic path (per-shard classify, then bucket
-     * fill under one node hold per level with per-candidate shard
-     * revalidation - the Path ORAM discipline, DESIGN.md Sec. 13 -
-     * plus the read-counter reset under the same node holds).
-     * @p leaf is unused; the schedule picks the path.
-     */
-    void evictPath(Leaf leaf) override;
-
-    /**
      * Background eviction: force the next scheduled eviction pass
      * immediately (off-schedule "piggyback" eviction). Guaranteed
      * eviction progress - stash occupancy cannot increase.
      * @return the reverse-lexicographic leaf that was written.
      */
     Leaf dummyAccess() override;
-
-    /** The scheduled eviction classifies from the stash shards and
-     *  locks nodes itself - no absorb stage, no meta lock. The
-     *  controller's background-eviction loop calls dummyAccess()
-     *  directly instead of round-tripping a random path that the
-     *  claim-gated fetch would extract nothing from. */
-    bool dummyAccessConcurrentSafe() const override { return true; }
 
     SchemeCounters schemeCounters() const override;
 
@@ -118,74 +76,39 @@ class RingOram final : public OramScheme
         return readCount_[node.value()];
     }
     /** Scheduled evictions run so far (the schedule position g). */
-    std::uint64_t evictionsRun() const
-    {
-        return evictionSeq_.load(std::memory_order_relaxed);
-    }
+    std::uint64_t evictionsRun() const { return evictionSeq_; }
     /** The leaf the @p g -th scheduled eviction writes. */
     Leaf evictionLeafAt(std::uint64_t g) const;
     /** @} */
 
   private:
-    /** Serial scheduled eviction: extract the g-th reverse-lex path
-     *  into the stash (resetting its read counters), then greedy
-     *  write-back. @return the path written. */
+    /** Scheduled eviction: extract the g-th reverse-lex path into the
+     *  stash (resetting its read counters), then greedy write-back.
+     *  @return the path written. */
     Leaf runScheduledEviction();
 
-    /** Concurrent twin: sharded eviction pass over the g-th path with
-     *  counter resets under the node holds (no prior extraction - the
-     *  fetch-stage resort keeps tree blocks cycling).
-     *  @return the path written. */
-    Leaf runScheduledEvictionConcurrent();
-
-    /** Draw the next schedule position and notify the auditor hook
-     *  (one atomic step, so the observed sequence is in order). */
+    /** Draw the next schedule position and notify the auditor hook. */
     Leaf nextEvictionLeaf();
 
     /** Account one modeled bucket read; early-reshuffle on budget
-     *  exhaustion. Caller holds the node lock in concurrent mode. */
+     *  exhaustion. */
     void noteBucketRead(TreeIdx node, std::uint32_t extracted);
 
     /** Dummy-read budget per bucket (early-reshuffle threshold). */
     std::uint32_t s_;
     /** Eviction rate: one scheduled eviction per A accesses. */
     std::uint32_t a_;
-    /** Reads served per bucket since its last rewrite (1 B/bucket;
-     *  guarded by the bucket's node lock in concurrent mode). */
+    /** Reads served per bucket since its last rewrite (1 B/bucket). */
     std::vector<std::uint8_t> readCount_;
     /** Accesses since construction (schedules evictions mod A). */
-    std::atomic<std::uint64_t> accessSeq_{0};
+    std::uint64_t accessSeq_ = 0;
     /** Scheduled evictions run (the reverse-lex counter g). */
-    std::atomic<std::uint64_t> evictionSeq_{0};
-    /** Orders schedule draws + observer calls in concurrent mode so
-     *  the audited eviction sequence is exactly g = 0, 1, 2, ...
-     *  Leaf-level lock: never held across bucket or stash work
-     *  (lock_order::Rank::Leaf; rank-checked in Debug builds). */
-    util::Mutex scheduleMutex_{lock_order::Rank::Leaf};
-    /** Fetch ordinal for the full-extract resort cadence (concurrent
-     *  mode), Weyl-hashed like Path ORAM's. */
-    static constexpr std::uint64_t kResortPeriod = 4;
-    std::atomic<std::uint64_t> fetchSeq_{0};
+    std::uint64_t evictionSeq_ = 0;
 
     // Traffic counters (schemeCounters()).
-    stats::AtomicCounter bucketReads_;
-    stats::AtomicCounter dummyReads_;
-    stats::AtomicCounter earlyReshuffles_;
-
-    // Serial eviction scratch, pre-sized at construction (the same
-    // counting-sort layout as Path ORAM's).
-    struct Evictable
-    {
-        BlockId id;
-        std::uint64_t data;
-    };
-    void reserveScratch(std::size_t slots);
-    std::vector<std::uint32_t> levelScratch_;
-    std::vector<std::uint32_t> histScratch_;
-    std::vector<std::uint32_t> levelStartScratch_;
-    std::vector<std::uint32_t> levelCursorScratch_;
-    std::vector<Evictable> sortedScratch_;
-    std::vector<Evictable> poolScratch_;
+    std::uint64_t bucketReads_ = 0;
+    std::uint64_t dummyReads_ = 0;
+    std::uint64_t earlyReshuffles_ = 0;
 };
 
 } // namespace proram

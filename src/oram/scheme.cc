@@ -1,7 +1,9 @@
 #include "oram/scheme.hh"
 
-#include <vector>
+#include <cassert>
 
+#include "obs/trace.hh"
+#include "oram/evict_kernel.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
 #include "util/annotations.hh"
@@ -15,6 +17,20 @@ OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
       tree_(cfg.levels(), cfg.z, cfg.arena),
       stash_(cfg.stashCapacity), rng_(cfg.seed ^ 0x0aa77aa55aa33aa1ULL)
 {
+    // Pre-size the eviction scratch from the tree geometry so the
+    // first accesses after construction are allocation-free too. The
+    // slot bound matches the stash lanes' reserve plus one path's
+    // worth of readPath growth; reserveScratch() covers the (rare)
+    // overshoot.
+    const std::size_t slot_bound =
+        static_cast<std::size_t>(cfg.stashCapacity) * 2 +
+        static_cast<std::size_t>(tree_.levels() + 1) * tree_.z();
+    reserveScratch(slot_bound);
+    const std::size_t level_slots = tree_.levels() + 2;
+    histScratch_.resize(level_slots, 0);
+    levelStartScratch_.resize(level_slots, 0);
+    levelCursorScratch_.resize(level_slots, 0);
+
     // Every leaf remap must reach stash-resident entries' cached
     // leaves; routing through the position map's single write point
     // covers all remap sites (eviction, merge, break) at once.
@@ -26,56 +42,90 @@ OramScheme::~OramScheme()
     posMap_.attachLeafCache(nullptr);
 }
 
-void
-OramScheme::enableConcurrent(SubtreeCache *cache,
-                             const std::atomic<std::uint8_t> *claim_filter,
-                             std::uint32_t stash_shards)
-{
-    cache_ = cache;
-    claimFilter_ = claim_filter;
-    stash_.setPinFilter(claim_filter);
-    stash_.enableConcurrent(stash_shards);
-    onEnableConcurrent();
-}
-
 PRORAM_HOT Leaf
 OramScheme::randomLeaf()
 {
-    if (cache_ != nullptr) {
-        const util::ScopedLock g(rngMutex_);
-        return Leaf{
-            static_cast<std::uint32_t>(rng_.below(tree_.numLeaves()))};
-    }
     return Leaf{
         static_cast<std::uint32_t>(rng_.below(tree_.numLeaves()))};
 }
 
-PRORAM_HOT void
-OramScheme::absorbPath(const FetchedBlock *blocks, std::size_t n)
+void
+OramScheme::reserveScratch(std::size_t slots)
 {
-    if (n == 0)
-        return;
-    // The leaf is re-read from the position map at absorb time, not
-    // fetch time: a concurrent remap between the two stages must win.
-    // Unzip into parallel lanes so the stash can group the inserts by
-    // shard (one lock per distinct shard instead of one per block).
-    static thread_local std::vector<BlockId> ids;
-    static thread_local std::vector<std::uint64_t> data;
-    static thread_local std::vector<Leaf> leaves;
-    if (ids.size() < n) {
-        // PRORAM_LINT_ALLOW(hot-alloc): thread-local, path-bounded.
-        ids.resize(n);
-        // PRORAM_LINT_ALLOW(hot-alloc): see above.
-        data.resize(n);
-        // PRORAM_LINT_ALLOW(hot-alloc): see above.
-        leaves.resize(n);
+    if (levelScratch_.size() < slots)
+        levelScratch_.resize(slots);
+    if (sortedScratch_.size() < slots)
+        sortedScratch_.resize(slots);
+    if (poolScratch_.capacity() < slots)
+        poolScratch_.reserve(slots);
+}
+
+PRORAM_OBLIVIOUS PRORAM_HOT void
+OramScheme::evictOnto(Leaf leaf)
+{
+    // Counting-sort eviction: classify every stash slot's deepest
+    // eligible level in one vectorized sweep over the contiguous leaf
+    // lane, histogram the live slots per level, then stable-scatter
+    // ids + payloads into one flat array grouped deepest level first.
+    // Insertion order within a level is preserved, so placement is a
+    // deterministic function of stash insertion order.
+    const std::uint32_t levels = tree_.levels();
+    const std::size_t slots = stash_.slotCount();
+    reserveScratch(slots);
+    {
+        PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
+        evict::classifyLevels(stash_.leafLane(), slots, leaf, levels,
+                              levelScratch_.data());
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        ids[i] = blocks[i].id;
-        data[i] = blocks[i].data;
-        leaves[i] = posMap_.leafOf(blocks[i].id);
+
+    const BlockId *ids = stash_.idLane();
+    const Leaf *leaves = stash_.leafLane();
+    const std::uint64_t *payloads = stash_.dataLane();
+    for (std::uint32_t l = 0; l <= levels; ++l)
+        histScratch_[l] = 0;
+    for (std::size_t i = 0; i < slots; ++i) {
+        if (ids[i] == kInvalidBlock)
+            continue;
+        panic_if(leaves[i] == kInvalidLeaf, "stash block ", ids[i],
+                 " has no leaf");
+        ++histScratch_[levelScratch_[i]];
     }
-    stash_.insertBatch(ids.data(), data.data(), leaves.data(), n);
+    std::uint32_t offset = 0;
+    for (std::uint32_t l = levels + 1; l-- > 0;) {
+        levelStartScratch_[l] = offset;
+        levelCursorScratch_[l] = offset;
+        offset += histScratch_[l];
+    }
+    for (std::size_t i = 0; i < slots; ++i) {
+        if (ids[i] == kInvalidBlock)
+            continue;
+        sortedScratch_[levelCursorScratch_[levelScratch_[i]]++] =
+            Evictable{ids[i], payloads[i]};
+    }
+
+    // Fill buckets greedily from the leaf upward; unplaced deeper
+    // blocks stay pooled and may still land closer to the root.
+    PRORAM_TRACE_SCOPE_ARG("evict", "scatterFill", "leaf", leaf);
+    poolScratch_.clear();
+    for (std::uint32_t l = levels + 1; l-- > 0;) {
+        const std::uint32_t start = levelStartScratch_[l];
+        const std::uint32_t end = start + histScratch_[l];
+        for (std::uint32_t s = start; s < end; ++s) {
+            // PRORAM_LINT_ALLOW(hot-alloc): capacity pre-reserved by
+            // reserveScratch; push_back never grows in steady state.
+            poolScratch_.push_back(sortedScratch_[s]);
+        }
+        const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
+        while (!poolScratch_.empty() && tree_.freeSlots(node) != 0) {
+            const Evictable ev = poolScratch_.back();
+            poolScratch_.pop_back();
+            tree_.tryPlace(node, ev.id, ev.data);
+            const bool erased = stash_.erase(ev.id);
+            assert(erased && "eligible block vanished from stash");
+            (void)erased;
+        }
+    }
+    stash_.sampleOccupancy();
 }
 
 void

@@ -1,46 +1,32 @@
 /**
  * @file
  * The abstract ORAM scheme interface: the tree-protocol contract the
- * controller, the policy layer and the concurrent pipeline are written
- * against. One logical access decomposes into the stage split of
- * DESIGN.md Sec. 13 - position-map walk (owned by UnifiedOram), path
- * fetch, stash absorb, eviction - and every concrete protocol (Path
- * ORAM, Ring ORAM) implements those stages over the shared tree,
- * stash, position map and RNG owned here. Nothing outside src/oram/
- * may name a concrete scheme; callers select one via
+ * controller and the policy layer are written against. One logical
+ * access is position-map walk (owned by UnifiedOram), readPath, the
+ * policy's remaps, then writePath; every concrete protocol (Path
+ * ORAM, Ring ORAM) implements the two path halves over the shared
+ * tree, stash, position map and RNG owned here. Nothing outside
+ * src/oram/ may name a concrete scheme; callers select one via
  * OramConfig::scheme / $PRORAM_SCHEME and talk to this interface.
  */
 
 #ifndef PRORAM_ORAM_SCHEME_HH
 #define PRORAM_ORAM_SCHEME_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "oram/config.hh"
 #include "oram/position_map.hh"
 #include "oram/stash.hh"
 #include "oram/tree.hh"
-#include "util/mutex.hh"
 #include "util/random.hh"
 
 namespace proram
 {
-
-class SubtreeCache;
-
-/** One real block copied off a tree path by fetchPath(), pending
- *  absorption into the stash (the concurrent pipeline's hand-off
- *  between the lock-free-of-stash fetch stage and the stash-locked
- *  absorb stage). */
-struct FetchedBlock
-{
-    BlockId id = kInvalidBlock;
-    std::uint64_t data = 0;
-};
 
 /** Protocol-specific traffic counters (all zero for Path ORAM, whose
  *  bucket traffic is fully described by pathReads()). Monotonic;
@@ -59,16 +45,15 @@ struct SchemeCounters
 
 /**
  * Binary tree + stash + remap machinery behind a protocol-agnostic
- * stage interface. The position map is owned by the caller (the
- * unified front end) because recursion and the super-block metadata
- * live there; tree, stash and RNG are owned here and shared by every
+ * interface. The position map is owned by the caller (the unified
+ * front end) because recursion and the super-block metadata live
+ * there; tree, stash and RNG are owned here and shared by every
  * concrete scheme.
  *
  * Contract the controller may assume (DESIGN.md Sec. 14):
  *  - After readPath(leafOf(b)) returns, every block currently mapped
  *    to that leaf - in particular b and its whole super block - is
- *    stash-resident (or claimed-in-flight in concurrent mode, where
- *    Stash::awaitResident covers the hand-off).
+ *    stash-resident.
  *  - The policy may remap any stash-resident block via
  *    PositionMap::setLeaf between readPath and writePath; schemes must
  *    not cache block->leaf assignments across that boundary.
@@ -104,43 +89,6 @@ class OramScheme
      */
     virtual void writePath(Leaf leaf) = 0;
 
-    /** @name Pipeline stages (concurrent controller interface).
-     *
-     * Locking contracts are per function (DESIGN.md "Concurrent
-     * controller"): fetchPath takes per-node locks only, absorbPath
-     * requires the controller meta lock, evictPath takes shard and
-     * node locks bucket-wise. @{ */
-
-    /**
-     * Stage: path fetch. Copy this scheme's blocks of interest on
-     * path @p leaf into @p out (capacity >= maxPathBlocks()) and
-     * clear their tree slots. Takes per-node locks only - never the
-     * stash. @return number of blocks copied.
-     */
-    virtual std::size_t fetchPath(Leaf leaf, FetchedBlock *out) = 0;
-
-    /**
-     * Stage: stash absorb. Insert @p n fetched blocks, re-reading
-     * each block's current leaf from the position map (a concurrent
-     * remap between fetch and absorb must win). Caller must hold the
-     * controller's meta lock in concurrent mode.
-     */
-    virtual void absorbPath(const FetchedBlock *blocks, std::size_t n);
-
-    /** Stage: evict classify (serial only; see concrete scheme). */
-    virtual void evictClassify(Leaf leaf) = 0;
-
-    /** Stage: write-back fill (serial only; see concrete scheme). */
-    virtual void evictWriteBack(Leaf leaf) = 0;
-
-    /**
-     * Stage: concurrent eviction pass - the sharded twin of
-     * evictClassify + evictWriteBack. Caller must hold no locks;
-     * concurrent mode only.
-     */
-    virtual void evictPath(Leaf leaf) = 0;
-    /** @} */
-
     /**
      * Background eviction (Sec. 2.4): one eviction-progress access
      * that remaps nothing. Stash occupancy cannot increase.
@@ -148,26 +96,8 @@ class OramScheme
      */
     virtual Leaf dummyAccess() = 0;
 
-    /**
-     * True when dummyAccess() may be called directly in concurrent
-     * mode: the scheme's eviction-progress step takes its own node
-     * and shard locks and never needs the meta-locked absorb stage
-     * (Ring's scheduled eviction classifies from the stash shards
-     * alone). When false (Path ORAM, whose dummy is a full
-     * read-path round-trip through the stash), the controller
-     * decomposes the dummy into fetchPath / absorbPath / evictPath
-     * around its meta lock instead.
-     */
-    virtual bool dummyAccessConcurrentSafe() const { return false; }
-
     /** Protocol-specific traffic counters (zeros for Path ORAM). */
     virtual SchemeCounters schemeCounters() const { return {}; }
-
-    /** Upper bound on real blocks one path can hold ((L+1)*Z). */
-    std::size_t maxPathBlocks() const
-    {
-        return static_cast<std::size_t>(tree_.levels() + 1) * tree_.z();
-    }
 
     /** @name Geometry (delegates to the shared tree). @{ */
     TreeIdx nodeOnPath(Leaf leaf, Level level) const
@@ -178,23 +108,6 @@ class OramScheme
     std::uint32_t bucketSlots() const { return tree_.z(); }
     std::uint64_t numLeaves() const { return tree_.numLeaves(); }
     /** @} */
-
-    /**
-     * Switch the scheme into concurrent mode: bucket operations take
-     * per-node locks from @p cache (and route dedicated buckets
-     * through its dedup window when enabled), readPath decomposes
-     * into fetchPath + absorbPath, writePath routes to the sharded
-     * eviction, the stash shards into @p stash_shards lock-striped
-     * shards, randomLeaf() serialises on an internal RNG mutex, and
-     * blocks inserted while claimed in @p claim_filter (per-BlockId
-     * atomic counts, controller-owned) start pinned against eviction.
-     * Serial mode (cache == nullptr, the default) takes no locks.
-     */
-    void enableConcurrent(SubtreeCache *cache,
-                          const std::atomic<std::uint8_t> *claim_filter,
-                          std::uint32_t stash_shards);
-
-    bool concurrentEnabled() const { return cache_ != nullptr; }
 
     /** Fresh uniformly random leaf (step 4 remap target). */
     Leaf randomLeaf();
@@ -209,8 +122,7 @@ class OramScheme
      * Observe the (public) leaf of every *scheduled* eviction pass,
      * in schedule order, just before the pass runs. Pure observation
      * hook for the obliviousness auditor's deterministic-eviction
-     * accounting (Ring ORAM); Path ORAM never fires it. Calls are
-     * serialised by the scheme even in concurrent mode.
+     * accounting (Ring ORAM); Path ORAM never fires it.
      */
     void setEvictionObserver(std::function<void(Leaf)> fn)
     {
@@ -223,34 +135,51 @@ class OramScheme
     const Stash &stash() const { return stash_; }
     PositionMap &posMap() { return posMap_; }
 
-    std::uint64_t pathReads() const { return pathReads_.value(); }
+    std::uint64_t pathReads() const { return pathReads_; }
 
   protected:
-    /** Concurrent-mode hook for scheme-specific state (dedup window
-     *  geometry, counter guards); runs after the shared switches. */
-    virtual void onEnableConcurrent() {}
+    /**
+     * Greedy eviction of the stash onto path @p leaf (paper Sec. 2.2
+     * step 5): every block lands in the deepest bucket it shares with
+     * @p leaf that still has room, buckets filled leaf upward; blocks
+     * that fit nowhere stay in the stash. Path ORAM evicts onto the
+     * just-read path, Ring ORAM onto its scheduled path.
+     */
+    void evictOnto(Leaf leaf);
 
     OramConfig cfg_;
     PositionMap &posMap_;
     BinaryTree tree_;
     Stash stash_;
     Rng rng_;
-    stats::AtomicCounter pathReads_;
-    /** Non-null in concurrent mode: per-node locking discipline. */
-    SubtreeCache *cache_ = nullptr;
-    /** Concurrent mode: per-BlockId claim counts (controller-owned).
-     *  Schemes consult it to keep unclaimed blocks in place in their
-     *  buckets instead of round-tripping them through the stash
-     *  (DESIGN.md Sec. 13) - only claimed blocks can be remapped by
-     *  the in-flight policy, so an unclaimed block's path assignment
-     *  cannot change under it. */
-    const std::atomic<std::uint8_t> *claimFilter_ = nullptr;
-    /** Serialises rng_ draws in concurrent mode. Leaf-level lock:
-     *  acquirable under any other lock, never acquires one itself
-     *  (lock_order::Rank::Leaf; rank-checked in Debug builds). */
-    util::Mutex rngMutex_{lock_order::Rank::Leaf};
+    std::uint64_t pathReads_ = 0;
     /** Auditor hook; empty (and never called) unless auditing. */
     std::function<void(Leaf)> evictionObserver_;
+
+  private:
+    /** A stash block staged for eviction: id plus payload captured in
+     *  the single stash scan so write-back needs no re-lookup. */
+    struct Evictable
+    {
+        BlockId id;
+        std::uint64_t data;
+    };
+
+    /** Grow the per-slot scratch to cover @p slots stash slots. */
+    void reserveScratch(std::size_t slots);
+
+    // evictOnto scratch, pre-sized from tree geometry at construction
+    // (see reserveScratch) so even the first paths allocate nothing.
+    /** Per-slot eviction level, filled by evict::classifyLevels. */
+    std::vector<std::uint32_t> levelScratch_;
+    /** Counting sort: per-level population / start offset / cursor. */
+    std::vector<std::uint32_t> histScratch_;
+    std::vector<std::uint32_t> levelStartScratch_;
+    std::vector<std::uint32_t> levelCursorScratch_;
+    /** Evictables grouped deepest level first, insertion order kept
+     *  within each level (the stable-scatter output). */
+    std::vector<Evictable> sortedScratch_;
+    std::vector<Evictable> poolScratch_;
 };
 
 /** Build the scheme selected by @p cfg (after resolvedScheme()). */

@@ -1,294 +1,55 @@
 #include "oram/stash.hh"
 
-#include <algorithm>
-
-#include "util/bits.hh"
-#include "util/logging.hh"
 #include "util/annotations.hh"
 
 namespace proram
 {
 
-Stash::Stash(std::uint32_t capacity) : capacity_(capacity)
+Stash::Stash(std::uint32_t capacity)
+    : capacity_(capacity),
+      index_(static_cast<std::size_t>(capacity) * 2)
 {
-    shards_ = makeShards(1);
-}
-
-std::unique_ptr<Stash::Shard[]>
-Stash::makeShards(std::uint32_t n) const
-{
-    auto shards = std::make_unique<Shard[]>(n);
-    const std::size_t reserve =
-        static_cast<std::size_t>(capacity_) * 2;
-    for (std::uint32_t s = 0; s < n; ++s) {
-        Shard &sh = shards[s];
-        sh.ids.reserve(reserve);
-        sh.leaves.reserve(reserve);
-        sh.data.reserve(reserve);
-        sh.pinned.reserve(reserve);
-        sh.index = FlatIndex(reserve);
-    }
-    return shards;
-}
-
-void
-Stash::enableConcurrent(std::uint32_t shards)
-{
-    std::uint32_t n = shards == 0 ? 1 : std::min(shards, kMaxShards);
-    n = std::uint32_t{1} << log2Floor(n); // round down to a power of 2
-    std::unique_ptr<Shard[]> fresh = makeShards(n);
-    // Redistribute in iteration order so per-shard insertion order is
-    // deterministic given the pre-shard contents (normally empty: the
-    // controller flips concurrent mode before any traffic).
-    const std::uint32_t old_count = shardCount_;
-    shardCount_ = n;
-    shardMask_ = n - 1;
-    for (std::uint32_t s = 0; s < old_count; ++s) {
-        const Shard &old_sh = shards_[s];
-        for (std::size_t i = 0; i < old_sh.ids.size(); ++i) {
-            if (old_sh.ids[i] == kInvalidBlock)
-                continue;
-            Shard &dst = fresh[shardOf(old_sh.ids[i])];
-            const bool ok = insertInto(dst, old_sh.ids[i],
-                                       old_sh.data[i],
-                                       old_sh.leaves[i]);
-            panic_if(!ok, "duplicate stash block ", old_sh.ids[i],
-                     " while resharding");
-            dst.pinned.back() = old_sh.pinned[i];
-        }
-    }
-    shards_ = std::move(fresh);
-    locking_ = true;
-}
-
-// Lock factories: the header's PRORAM_ACQUIRE(shardMutex(s)) is the
-// contract clang checks at call sites; the bodies hand a scoped
-// capability out by value, which the analysis cannot model, hence the
-// documented escapes.
-util::ScopedLock
-Stash::lockShard(std::uint32_t s) const PRORAM_NO_THREAD_SAFETY_ANALYSIS
-{
-    // Per-call acquisition count is relaxed: observability counter,
-    // never synchronizes anything.
-    shardAcquisitions_.fetch_add(1, std::memory_order_relaxed);
-    return lockShardFast(s);
-}
-
-PRORAM_HOT util::ScopedLock
-Stash::lockShardFast(std::uint32_t s) const
-    PRORAM_NO_THREAD_SAFETY_ANALYSIS
-{
-    return util::ScopedLock(shards_[s].mtx, shardContended_);
-}
-
-PRORAM_HOT bool
-Stash::insertInto(Shard &sh, BlockId id, std::uint64_t data, Leaf leaf)
-{
-    if (sh.index.get(id.value()) != FlatIndex::kNone)
-        return false;
-    sh.index.put(id.value(), static_cast<std::uint32_t>(sh.ids.size()));
-    // PRORAM_LINT_ALLOW(hot-alloc): lanes reserve 2x capacity up
-    // front; these appends only reallocate past double overflow.
-    sh.ids.push_back(id);
-    // PRORAM_LINT_ALLOW(hot-alloc): see above
-    sh.leaves.push_back(leaf);
-    // PRORAM_LINT_ALLOW(hot-alloc): see above
-    sh.data.push_back(data);
-    // PRORAM_LINT_ALLOW(hot-alloc): see above
-    sh.pinned.push_back(
-        pinFilter_ != nullptr &&
-                pinFilter_[id.value()].load(
-                    std::memory_order_relaxed) != 0
-            ? 1
-            : 0);
-    // live is mutex-serialized (shard lock held, or serial mode) -
-    // only size() reads it cross-thread, so a relaxed load+store
-    // pair suffices and keeps the locked RMW off the serial path.
-    sh.live.store(sh.live.load(std::memory_order_relaxed) + 1,
-                  std::memory_order_relaxed);
-    return true;
+    const std::size_t reserve = static_cast<std::size_t>(capacity) * 2;
+    ids_.reserve(reserve);
+    leaves_.reserve(reserve);
+    data_.reserve(reserve);
 }
 
 PRORAM_HOT bool
 Stash::insert(BlockId id, std::uint64_t data, Leaf leaf)
 {
-    const std::uint32_t s = shardOf(id);
-    Shard &sh = shards_[s];
-    const util::ScopedLock lk = maybeLock(s);
-    const bool fresh = insertInto(sh, id, data, leaf);
-    if (fresh && sh.waiters != 0)
-        sh.cv.notify_all();
-    return fresh;
-}
-
-// Dual serial/concurrent body (conditionally empty guard per chunk)
-// is beyond the analysis; self-locking entry point, caller holds no
-// shard locks.
-PRORAM_HOT void
-Stash::insertBatch(const BlockId *ids, const std::uint64_t *data,
-                   const Leaf *leaves, std::size_t n)
-    PRORAM_NO_THREAD_SAFETY_ANALYSIS
-{
-    // Group-by-shard without sorting: claim each unvisited block's
-    // shard, then sweep the remainder of its 64-block chunk for
-    // same-shard siblings under the one hold. Quadratic in the chunk,
-    // but a chunk is at most one path's blocks and the inner compare
-    // is a masked hash - cheaper than n lock round-trips. A set bit
-    // in `done` marks an inserted block.
-    std::uint64_t locks = 0;
-    for (std::size_t base = 0; base < n; base += 64) {
-        const std::size_t lim = std::min<std::size_t>(n - base, 64);
-        std::uint64_t done = 0;
-        for (std::size_t i = 0; i < lim; ++i) {
-            if ((done >> i) & 1)
-                continue;
-            const std::uint32_t s = shardOf(ids[base + i]);
-            Shard &sh = shards_[s];
-            const util::ScopedLock lk =
-                locking_ ? lockShardFast(s) : util::ScopedLock();
-            ++locks;
-            bool fresh_any = false;
-            for (std::size_t j = i; j < lim; ++j) {
-                if (((done >> j) & 1) || shardOf(ids[base + j]) != s)
-                    continue;
-                const bool fresh = insertInto(sh, ids[base + j],
-                                              data[base + j],
-                                              leaves[base + j]);
-                panic_if(!fresh, "block ", ids[base + j],
-                         " duplicated between tree and stash");
-                fresh_any = true;
-                done |= std::uint64_t{1} << j;
-            }
-            if (fresh_any && sh.waiters != 0)
-                sh.cv.notify_all();
-        }
-    }
-    if (locking_ && locks != 0)
-        noteShardAcquisitions(locks);
-}
-
-PRORAM_HOT void
-Stash::setPinned(BlockId id, bool pinned)
-{
-    const std::uint32_t s = shardOf(id);
-    const util::ScopedLock lk = maybeLock(s);
-    setPinnedLocked(s, id, pinned);
-}
-
-PRORAM_HOT void
-Stash::setPinnedLocked(std::uint32_t s, BlockId id, bool pinned)
-{
-    Shard &sh = shards_[s];
-    const std::uint32_t slot = sh.index.get(id.value());
-    if (slot != FlatIndex::kNone)
-        sh.pinned[slot] = pinned ? 1 : 0;
-}
-
-void
-Stash::claimPin(BlockId id, std::atomic<std::uint8_t> &count)
-{
-    // The shard lock makes the count bump atomic with respect to
-    // insert()'s pin-filter read: an insert either sees the new count
-    // (starts pinned) or finishes first (pinned here).
-    const std::uint32_t s = shardOf(id);
-    const util::ScopedLock lk = maybeLock(s);
-    count.fetch_add(1, std::memory_order_relaxed);
-    setPinnedLocked(s, id, true);
-}
-
-void
-Stash::releaseUnpin(BlockId id, std::atomic<std::uint8_t> &count)
-{
-    const std::uint32_t s = shardOf(id);
-    const util::ScopedLock lk = maybeLock(s);
-    if (count.fetch_sub(1, std::memory_order_relaxed) == 1)
-        setPinnedLocked(s, id, false);
-}
-
-// Condition-variable wait needs the native std::mutex handle and
-// releases/reacquires it invisibly - the one lock shape the analysis
-// cannot model. The rank tracker still sees the hold via ScopedRank.
-void
-Stash::awaitResident(BlockId id) const PRORAM_NO_THREAD_SAFETY_ANALYSIS
-{
-    const std::uint32_t s = shardOf(id);
-    const Shard &sh = shards_[s];
-    shardAcquisitions_.fetch_add(1, std::memory_order_relaxed);
-    const lock_order::ScopedRank rank(lock_order::Rank::StashShard);
-    std::unique_lock<std::mutex> lk(sh.mtx.native());
-    if (sh.index.get(id.value()) != FlatIndex::kNone)
-        return;
-    ++sh.waiters;
-    sh.cv.wait(lk, [&] {
-        return sh.index.get(id.value()) != FlatIndex::kNone;
-    });
-    --sh.waiters;
-}
-
-PRORAM_HOT bool
-Stash::contains(BlockId id) const
-{
-    const std::uint32_t s = shardOf(id);
-    const util::ScopedLock lk = maybeLock(s);
-    return shards_[s].index.get(id.value()) != FlatIndex::kNone;
+    if (index_.get(id.value()) != FlatIndex::kNone)
+        return false;
+    index_.put(id.value(), static_cast<std::uint32_t>(ids_.size()));
+    // PRORAM_LINT_ALLOW(hot-alloc): lanes reserve 2x capacity up
+    // front; these appends only reallocate past double overflow.
+    ids_.push_back(id);
+    // PRORAM_LINT_ALLOW(hot-alloc): see above
+    leaves_.push_back(leaf);
+    // PRORAM_LINT_ALLOW(hot-alloc): see above
+    data_.push_back(data);
+    ++live_;
+    return true;
 }
 
 PRORAM_HOT std::uint64_t *
 Stash::findData(BlockId id)
 {
-    const std::uint32_t s = shardOf(id);
-    const util::ScopedLock lk = maybeLock(s);
-    return findDataLocked(s, id);
-}
-
-PRORAM_HOT std::uint64_t *
-Stash::findDataLocked(std::uint32_t s, BlockId id)
-{
-    Shard &sh = shards_[s];
-    const std::uint32_t slot = sh.index.get(id.value());
-    return slot == FlatIndex::kNone ? nullptr : &sh.data[slot];
-}
-
-PRORAM_HOT bool
-Stash::lookupLocked(std::uint32_t s, BlockId id, Leaf *leaf,
-                    std::uint64_t *data, bool *pinned) const
-{
-    const Shard &sh = shards_[s];
-    const std::uint32_t slot = sh.index.get(id.value());
-    if (slot == FlatIndex::kNone)
-        return false;
-    if (leaf != nullptr)
-        *leaf = sh.leaves[slot];
-    if (data != nullptr)
-        *data = sh.data[slot];
-    if (pinned != nullptr)
-        *pinned = sh.pinned[slot] != 0;
-    return true;
+    const std::uint32_t slot = index_.get(id.value());
+    return slot == FlatIndex::kNone ? nullptr : &data_[slot];
 }
 
 PRORAM_HOT Leaf
 Stash::leafOf(BlockId id) const
 {
-    const std::uint32_t s = shardOf(id);
-    const util::ScopedLock lk = maybeLock(s);
-    const Shard &sh = shards_[s];
-    const std::uint32_t slot = sh.index.get(id.value());
-    return slot == FlatIndex::kNone ? kInvalidLeaf : sh.leaves[slot];
+    const std::uint32_t slot = index_.get(id.value());
+    return slot == FlatIndex::kNone ? kInvalidLeaf : leaves_[slot];
 }
 
 PRORAM_HOT bool
 Stash::erase(BlockId id)
 {
-    const std::uint32_t s = shardOf(id);
-    const util::ScopedLock lk = maybeLock(s);
-    return eraseLocked(s, id);
-}
-
-PRORAM_HOT bool
-Stash::eraseLocked(std::uint32_t s, BlockId id)
-{
-    Shard &sh = shards_[s];
-    const std::uint32_t slot = sh.index.get(id.value());
+    const std::uint32_t slot = index_.get(id.value());
     if (slot == FlatIndex::kNone)
         return false;
     // Mark dead in place: shuffling survivors would perturb the
@@ -296,76 +57,54 @@ Stash::eraseLocked(std::uint32_t s, BlockId id)
     // depends on. Compaction below preserves relative order. The
     // leaf/data lanes keep their stale words - lane consumers skip
     // dead slots by id.
-    sh.ids[slot] = kInvalidBlock;
-    sh.index.erase(id.value());
-    // Mutex-serialized like the insert side: see insertInto().
-    sh.live.store(sh.live.load(std::memory_order_relaxed) - 1,
-                  std::memory_order_relaxed);
-    ++sh.dead;
-    if (sh.dead >= 16 &&
-        sh.dead >= sh.live.load(std::memory_order_relaxed))
-        compact(sh);
+    ids_[slot] = kInvalidBlock;
+    index_.erase(id.value());
+    --live_;
+    ++dead_;
+    if (dead_ >= 16 && dead_ >= live_)
+        compact();
     return true;
 }
 
 PRORAM_HOT void
 Stash::updateLeaf(BlockId id, Leaf leaf)
 {
-    const std::uint32_t s = shardOf(id);
-    const util::ScopedLock lk = maybeLock(s);
-    Shard &sh = shards_[s];
-    const std::uint32_t slot = sh.index.get(id.value());
+    const std::uint32_t slot = index_.get(id.value());
     if (slot != FlatIndex::kNone)
-        sh.leaves[slot] = leaf;
+        leaves_[slot] = leaf;
 }
 
 void
-Stash::compact(Shard &sh)
+Stash::compact()
 {
     std::size_t out = 0;
-    for (std::size_t in = 0; in < sh.ids.size(); ++in) {
-        if (sh.ids[in] == kInvalidBlock)
+    for (std::size_t in = 0; in < ids_.size(); ++in) {
+        if (ids_[in] == kInvalidBlock)
             continue;
         if (out != in) {
-            sh.ids[out] = sh.ids[in];
-            sh.leaves[out] = sh.leaves[in];
-            sh.data[out] = sh.data[in];
-            sh.pinned[out] = sh.pinned[in];
+            ids_[out] = ids_[in];
+            leaves_[out] = leaves_[in];
+            data_[out] = data_[in];
         }
-        sh.index.put(sh.ids[out].value(),
-                     static_cast<std::uint32_t>(out));
+        index_.put(ids_[out].value(), static_cast<std::uint32_t>(out));
         ++out;
     }
-    sh.ids.resize(out);
-    sh.leaves.resize(out);
-    sh.data.resize(out);
-    sh.pinned.resize(out);
-    sh.dead = 0;
+    ids_.resize(out);
+    leaves_.resize(out);
+    data_.resize(out);
+    dead_ = 0;
 }
 
 std::vector<BlockId>
 Stash::residentIds() const
 {
     std::vector<BlockId> out;
-    out.reserve(size());
-    for (std::uint32_t s = 0; s < shardCount_; ++s) {
-        for (BlockId id : shards_[s].ids) {
-            if (id != kInvalidBlock)
-                out.push_back(id);
-        }
+    out.reserve(live_);
+    for (BlockId id : ids_) {
+        if (id != kInvalidBlock)
+            out.push_back(id);
     }
     return out;
-}
-
-void
-Stash::sampleOccupancy()
-{
-    if (locking_) {
-        const util::ScopedLock g(statsLock_);
-        occupancy_.sample(static_cast<double>(size()));
-        return;
-    }
-    occupancy_.sample(static_cast<double>(size()));
 }
 
 } // namespace proram

@@ -4,51 +4,27 @@
  * evicted back. Path ORAM's invariant is that a block mapped to leaf s
  * is either on path s or in the stash.
  *
- * Storage is one or more dense insertion-ordered flat maps ("shards")
- * in structure-of-arrays form: three parallel lanes (block ids, cached
+ * Storage is one dense insertion-ordered flat map in
+ * structure-of-arrays form: three parallel lanes (block ids, cached
  * leaves, payload words) share slot numbering, a FlatIndex maps
  * BlockId -> slot, and erase marks the slot dead instead of shuffling
  * survivors so iteration order stays insertion order by construction -
  * the determinism the replay tests rely on. The leaf lane is what
  * makes the writePath eviction scan vectorizable: evict::classifyLevels
- * streams one contiguous Leaf array per shard with no per-entry struct
- * stride. Cached leaves mirror the position map (kept coherent by
+ * streams one contiguous Leaf array with no per-entry struct stride.
+ * Cached leaves mirror the position map (kept coherent by
  * PositionMap's setLeaf hook) so writePath never does a position-map
  * lookup per block per access.
- *
- * Serial mode runs a single shard with locking compiled out of the
- * path (one branch per call), so behaviour and iteration order are
- * bit-identical to the pre-shard dense stash. enableConcurrent(N)
- * splits the store into N lock-striped shards keyed by a BlockId
- * hash: absorb/find/pin and the eviction scan then take one shard
- * mutex instead of a stash-global lock, which is what lets in-flight
- * requests of the concurrent controller overlap (DESIGN.md Sec. 13).
- * Lock ordering: shard locks are the innermost level of the
- * hierarchy (meta < node < stash-shard) - a caller may hold the
- * controller's meta lock and/or one tree node lock while acquiring a
- * shard lock, and never acquires anything under one; the rare
- * multi-shard operations (resharding, iteration helpers) run
- * single-threaded by contract and take no locks. The discipline is
- * machine-checked three ways (DESIGN.md Sec. 15): shard mutexes are
- * util::Mutex capabilities ranked lock_order::Rank::StashShard, the
- * lock factories carry PRORAM_ACQUIRE(shardMutex(s)) so clang's
- * thread-safety analysis verifies *Locked() call sites, and the
- * lock-order lint rejects out-of-order acquisition textually.
  */
 
 #ifndef PRORAM_ORAM_STASH_HH
 #define PRORAM_ORAM_STASH_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "stats/stats.hh"
-#include "util/annotations.hh"
 #include "util/flat_index.hh"
-#include "util/mutex.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -71,8 +47,7 @@ struct StashEntry
  *
  * Pointers returned by findData() and the lane pointers are
  * invalidated by insert(), erase(), and any call that may compact
- * the lanes. In concurrent mode they are additionally only stable
- * while the owning shard's lock is held.
+ * the lanes.
  */
 class Stash
 {
@@ -80,15 +55,16 @@ class Stash
     explicit Stash(std::uint32_t capacity);
 
     /** Add a block mapped to @p leaf. @return false if already
-     *  present (the existing entry is left untouched). Self-locking
-     *  in concurrent mode; wakes awaitResident() waiters. */
+     *  present (the existing entry is left untouched). */
     bool insert(BlockId id, std::uint64_t data, Leaf leaf);
 
-    bool contains(BlockId id) const;
+    bool contains(BlockId id) const
+    {
+        return index_.get(id.value()) != FlatIndex::kNone;
+    }
 
     /** @return pointer to the block's payload word or nullptr.
-     *  Invalidated by any mutating call; serial mode / tests only -
-     *  concurrent callers use findDataLocked() under the shard lock. */
+     *  Invalidated by any mutating call. */
     std::uint64_t *findData(BlockId id);
 
     /** Cached leaf of @p id, or kInvalidLeaf if not resident. */
@@ -105,197 +81,34 @@ class Stash
      */
     void updateLeaf(BlockId id, Leaf leaf);
 
-    /** Total live blocks (relaxed per-shard sum: size() and the
-     *  controller's over-capacity probe are lock-free; shard counts
-     *  are tiny and the sum is observability/threshold-only). */
-    std::size_t size() const
-    {
-        std::size_t total = 0;
-        for (std::uint32_t s = 0; s < shardCount_; ++s)
-            total += shards_[s].live.load(std::memory_order_relaxed);
-        return total;
-    }
+    std::size_t size() const { return live_; }
     std::uint32_t capacity() const { return capacity_; }
-    bool overCapacity() const { return size() > capacity_; }
-
-    /** @name Sharding (concurrent controller interface).
-     *
-     * enableConcurrent(N) redistributes the store over N lock-striped
-     * shards (power of two, clamped to [1, kMaxShards]) and turns
-     * every public mutator self-locking. Must run while no other
-     * thread touches the stash. @{ */
-    static constexpr std::uint32_t kMaxShards = 256;
-
-    void enableConcurrent(std::uint32_t shards);
-    bool concurrentEnabled() const { return locking_; }
-    std::uint32_t shardCount() const { return shardCount_; }
-
-    /** Owning shard of @p id (0 when single-sharded). */
-    std::uint32_t shardOf(BlockId id) const
-    {
-        return static_cast<std::uint32_t>(
-                   id.value() * 0x9E3779B97F4A7C15ULL >> 56) &
-               shardMask_;
-    }
-
-    /** Capability of shard @p s, for thread-safety annotations and
-     *  condition-variable plumbing. */
-    util::Mutex &shardMutex(std::uint32_t s) const
-    {
-        return shards_[s].mtx;
-    }
-
-    /**
-     * Exclusive hold on shard @p s, with contention accounting. Lock
-     * ordering: shard locks are innermost - the caller may hold the
-     * controller meta lock and/or one tree node lock, and must not
-     * acquire anything underneath; two shard locks are never held at
-     * once on the hot path.
-     */
-    util::ScopedLock lockShard(std::uint32_t s) const
-        PRORAM_ACQUIRE(shardMutex(s));
-
-    /**
-     * lockShard() minus the per-call acquisition count: contention is
-     * still recorded, but the caller batches the acquisition count
-     * via noteShardAcquisitions() - one atomic add per pass instead
-     * of one per lock on the eviction/absorb hot paths.
-     */
-    util::ScopedLock lockShardFast(std::uint32_t s) const
-        PRORAM_ACQUIRE(shardMutex(s));
-
-    /** Credit @p n shard-lock acquisitions taken via lockShardFast(). */
-    void noteShardAcquisitions(std::uint64_t n) const
-    {
-        shardAcquisitions_.fetch_add(n, std::memory_order_relaxed);
-    }
-
-    /**
-     * Insert @p n blocks grouped by owning shard: one shard lock per
-     * distinct shard instead of one per block (the absorb-stage batch
-     * path). Panics on a duplicate - callers feed blocks extracted
-     * from tree buckets, which can never already be stash-resident.
-     * Wakes awaitResident() waiters like insert().
-     */
-    void insertBatch(const BlockId *ids, const std::uint64_t *data,
-                     const Leaf *leaves, std::size_t n);
-
-    /** @name Shard-locked primitives (caller holds lockShard(s) and
-     *  s == shardOf(id); enforced by clang -Wthread-safety). @{ */
-    std::uint64_t *findDataLocked(std::uint32_t s, BlockId id)
-        PRORAM_REQUIRES(shardMutex(s));
-    bool eraseLocked(std::uint32_t s, BlockId id)
-        PRORAM_REQUIRES(shardMutex(s));
-    void setPinnedLocked(std::uint32_t s, BlockId id, bool pinned)
-        PRORAM_REQUIRES(shardMutex(s));
-    /** Combined resident lookup: fills any non-null out-params.
-     *  @return false (outputs untouched) if @p id is absent. */
-    bool lookupLocked(std::uint32_t s, BlockId id, Leaf *leaf,
-                      std::uint64_t *data, bool *pinned) const
-        PRORAM_REQUIRES(shardMutex(s));
-    /** @} */
-
-    /**
-     * Claim protocol (concurrent mode): atomically - with respect to
-     * insert()'s pin filter - bump @p count and pin @p id if it is
-     * resident. A block claimed before it arrives starts pinned at
-     * insert; a block resident at claim time is pinned here. Either
-     * way, "claimed implies pinned while resident" holds.
-     */
-    void claimPin(BlockId id, std::atomic<std::uint8_t> &count);
-    /** Drop one claim from @p count; unpin @p id when it reaches 0. */
-    void releaseUnpin(BlockId id, std::atomic<std::uint8_t> &count);
-
-    /** Block until @p id is stash-resident (concurrent mode; the
-     *  caller must hold no stash/meta locks). Returns immediately if
-     *  already resident. */
-    void awaitResident(BlockId id) const;
-
-    /** Shard-lock contention counters (relaxed; observability). */
-    std::uint64_t shardLockAcquisitions() const
-    {
-        return shardAcquisitions_.load(std::memory_order_relaxed);
-    }
-    std::uint64_t shardLockContended() const
-    {
-        return shardContended_.load(std::memory_order_relaxed);
-    }
-    /** @} */
+    bool overCapacity() const { return live_ > capacity_; }
 
     /** @name SoA lanes (the eviction engine's hot interface).
-     *  Per shard: slots [0, slotCount(s)) include dead entries: a slot
-     *  is live iff idLane(s)[slot] != kInvalidBlock, and dead slots'
-     *  leaf/data lanes hold stale values callers must ignore. Pointers
-     *  are invalidated by any mutating call; concurrent callers hold
-     *  the shard lock. The no-argument forms view shard 0 - the whole
-     *  stash in serial mode. @{ */
-    std::size_t slotCount(std::uint32_t s) const
-    {
-        return shards_[s].ids.size();
-    }
-    /** Live blocks in shard @p s (relaxed read; lets eviction scans
-     *  skip empty shards without touching their lock). */
-    std::size_t liveCount(std::uint32_t s) const
-    {
-        return shards_[s].live.load(std::memory_order_relaxed);
-    }
-    const BlockId *idLane(std::uint32_t s) const
-    {
-        return shards_[s].ids.data();
-    }
-    const Leaf *leafLane(std::uint32_t s) const
-    {
-        return shards_[s].leaves.data();
-    }
-    const std::uint64_t *dataLane(std::uint32_t s) const
-    {
-        return shards_[s].data.data();
-    }
-    /** Per-slot pin flags (1 = claimed by an in-flight request, must
-     *  not be evicted). All zero unless a pin filter is set. */
-    const std::uint8_t *pinnedLane(std::uint32_t s) const
-    {
-        return shards_[s].pinned.data();
-    }
-    std::size_t slotCount() const { return slotCount(0); }
-    const BlockId *idLane() const { return idLane(0); }
-    const Leaf *leafLane() const { return leafLane(0); }
-    const std::uint64_t *dataLane() const { return dataLane(0); }
-    const std::uint8_t *pinnedLane() const { return pinnedLane(0); }
+     *  Slots [0, slotCount()) include dead entries: a slot is live iff
+     *  idLane()[slot] != kInvalidBlock, and dead slots' leaf/data
+     *  lanes hold stale values callers must ignore. Pointers are
+     *  invalidated by any mutating call. @{ */
+    std::size_t slotCount() const { return ids_.size(); }
+    const BlockId *idLane() const { return ids_.data(); }
+    const Leaf *leafLane() const { return leaves_.data(); }
+    const std::uint64_t *dataLane() const { return data_.data(); }
     /** @} */
 
     /**
-     * Concurrent-controller hook: @p claimed is a per-BlockId atomic
-     * claim-count array (indexed by id.value()); a block inserted
-     * while its count is non-zero starts pinned. nullptr (the
-     * default) disables pinning entirely. The array must outlive the
-     * stash or be cleared with setPinFilter(nullptr).
-     */
-    void setPinFilter(const std::atomic<std::uint8_t> *claimed)
-    {
-        pinFilter_ = claimed;
-    }
-
-    /** Pin or unpin a resident block; no-op if absent. */
-    void setPinned(BlockId id, bool pinned);
-
-    /**
-     * Visit every resident block without snapshotting, shard by shard
-     * in insertion order (plain insertion order in serial mode).
-     * @p fn is called as fn(const StashEntry &) with a view assembled
-     * from the lanes; the stash must not be mutated during iteration,
-     * and no other thread may be active (drained / serial contract).
+     * Visit every resident block without snapshotting, in insertion
+     * order. @p fn is called as fn(const StashEntry &) with a view
+     * assembled from the lanes; the stash must not be mutated during
+     * iteration.
      */
     template <typename Fn>
     void forEachResident(Fn &&fn) const
     {
-        for (std::uint32_t s = 0; s < shardCount_; ++s) {
-            const Shard &sh = shards_[s];
-            const std::size_t n = sh.ids.size();
-            for (std::size_t i = 0; i < n; ++i) {
-                if (sh.ids[i] != kInvalidBlock)
-                    fn(StashEntry{sh.ids[i], sh.leaves[i], sh.data[i]});
-            }
+        const std::size_t n = ids_.size();
+        for (std::size_t i = 0; i < n; ++i) {
+            if (ids_[i] != kInvalidBlock)
+                fn(StashEntry{ids_[i], leaves_[i], data_[i]});
         }
     }
 
@@ -303,77 +116,28 @@ class Stash
      *  tests only - allocates; use the lanes on hot paths). */
     std::vector<BlockId> residentIds() const;
 
-    /** Record an occupancy sample (called once per eviction pass;
-     *  internally serialized in concurrent mode). */
-    void sampleOccupancy();
+    /** Record an occupancy sample (called once per eviction pass). */
+    void sampleOccupancy()
+    {
+        occupancy_.sample(static_cast<double>(live_));
+    }
 
     const stats::Distribution &occupancy() const { return occupancy_; }
 
   private:
-    /** One lock-striped slice of the store: the pre-shard dense stash
-     *  layout plus its mutex and residency-waiter bookkeeping. */
-    struct Shard
-    {
-        /** Parallel SoA lanes; dead slots keep id == kInvalidBlock
-         *  until compact() reclaims them. */
-        std::vector<BlockId> ids;
-        std::vector<Leaf> leaves;
-        std::vector<std::uint64_t> data;
-        /** Fourth lane: 1 = pinned (skip in eviction scans). */
-        std::vector<std::uint8_t> pinned;
-        /** BlockId -> slot. */
-        FlatIndex index;
-        /** Mutated under mtx; atomic so liveCount() can skip empty
-         *  shards without taking the lock (eviction-scan fast path). */
-        std::atomic<std::size_t> live{0};
-        std::size_t dead = 0;
-        /** Innermost hierarchy level below meta and node locks;
-         *  rank-checked in Debug builds (util/lock_order.hh). */
-        mutable util::Mutex mtx{lock_order::Rank::StashShard};
-        /** Signalled on insert while waiters > 0 (awaitResident);
-         *  waits on mtx.native(). */
-        mutable std::condition_variable cv;
-        mutable std::uint32_t waiters = 0;
-    };
-
-    /** Allocate @p n shards, each pre-reserved for the full soft
-     *  capacity (shard skew can concentrate load; lanes are tiny). */
-    std::unique_ptr<Shard[]> makeShards(std::uint32_t n) const;
-
-    /** Serial/concurrent dual-mode hold: a real shard lock in
-     *  concurrent mode, an empty guard in serial mode. Annotated as
-     *  an unconditional acquire - serial mode is single-threaded, so
-     *  statically claiming the capability is sound and lets the
-     *  analysis check the shared *Locked() call sites downstream. */
-    util::ScopedLock maybeLock(std::uint32_t s) const
-        PRORAM_ACQUIRE(shardMutex(s))
-        // Dual-mode body (conditionally empty guard) is beyond the
-        // analysis; the declaration's ACQUIRE is the call-site
-        // contract.
-        PRORAM_NO_THREAD_SAFETY_ANALYSIS
-    {
-        return locking_ ? lockShard(s) : util::ScopedLock();
-    }
-
-    bool insertInto(Shard &sh, BlockId id, std::uint64_t data,
-                    Leaf leaf);
     /** Drop dead slots, preserving the survivors' relative order. */
-    void compact(Shard &sh);
+    void compact();
 
     std::uint32_t capacity_;
-    std::uint32_t shardCount_ = 1;
-    std::uint32_t shardMask_ = 0;
-    bool locking_ = false;
-    std::unique_ptr<Shard[]> shards_;
-    const std::atomic<std::uint8_t> *pinFilter_ = nullptr;
-    mutable std::atomic<std::uint64_t> shardAcquisitions_{0};
-    mutable std::atomic<std::uint64_t> shardContended_{0};
-    /** Guards occupancy_ in concurrent mode (Distribution is not
-     *  thread-safe; serial mode and the drained-by-contract
-     *  occupancy() reporter read it lock-free, so the guard is
-     *  documented rather than GUARDED_BY-annotated). Leaf rank:
-     *  never acquires anything beneath it. */
-    mutable util::Mutex statsLock_{lock_order::Rank::Leaf};
+    /** Parallel SoA lanes; dead slots keep id == kInvalidBlock until
+     *  compact() reclaims them. */
+    std::vector<BlockId> ids_;
+    std::vector<Leaf> leaves_;
+    std::vector<std::uint64_t> data_;
+    /** BlockId -> slot. */
+    FlatIndex index_;
+    std::size_t live_ = 0;
+    std::size_t dead_ = 0;
     stats::Distribution occupancy_;
 };
 

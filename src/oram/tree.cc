@@ -84,25 +84,6 @@ BinaryTree::clearSlot(TreeIdx node, std::uint32_t i)
     l.ids[at] = kInvalidBlock;
 }
 
-void
-BinaryTree::storeBucket(TreeIdx node, const BlockId *ids,
-                        const std::uint64_t *data,
-                        std::uint32_t free_slots)
-{
-    const std::uint64_t n = node.value();
-    if (free_slots == z_ &&
-        arena_->view(n >> chunkShift_).ids == nullptr) {
-        return; // all-dummy over an implicit chunk: stays implicit
-    }
-    const ArenaBackend::Lanes l = arena_->materialize(n >> chunkShift_);
-    const std::uint64_t base = (n & chunkMask_) * z_;
-    for (std::uint32_t i = 0; i < z_; ++i) {
-        l.ids[base + i] = ids[i];
-        l.data[base + i] = data[i];
-    }
-    l.free[n & chunkMask_] = free_slots;
-}
-
 BlockId &
 BinaryTree::rawSlotId(TreeIdx node, std::uint32_t i)
 {

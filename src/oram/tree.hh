@@ -175,18 +175,6 @@ class BinaryTree
 
     /** Evict slot @p i of @p node back to dummy. */
     void clearSlot(TreeIdx node, std::uint32_t i);
-
-    /**
-     * Overwrite the whole bucket @p node from caller-provided lanes
-     * (@p ids / @p data are Z slots; @p free_slots becomes the free
-     * count). Used by the SubtreeCache window flush to sync a
-     * resident bucket back into the arena. An all-dummy bucket over a
-     * still-implicit chunk is a no-op, so flushing never materializes
-     * chunks the window only read.
-     */
-    void storeBucket(TreeIdx node, const BlockId *ids,
-                     const std::uint64_t *data,
-                     std::uint32_t free_slots);
     /** @} */
 
     /**

@@ -89,41 +89,11 @@ UnifiedOram::fetchPosMapBlock(BlockId pm_block)
     const Leaf leaf = posMap_.leafOf(pm_block);
     if (posMapObserver_)
         posMapObserver_(leaf);
-    // Concurrent mode: claim the pos-map block across the
-    // read-remap span. Without the claim, a concurrent evictPath
-    // could revalidate the block against its *old* leaf after we
-    // remap it below and place it on a path the new leaf does not
-    // cover, breaking the path invariant. The claim pins the block
-    // (whether already resident or absorbed by the readPath) until
-    // the remap has landed.
-    const bool claim = claimTable_ != nullptr;
-    if (claim) {
-        oram_->stash().claimPin(pm_block,
-                               claimTable_[pm_block.value()]);
-    }
     oram_->readPath(leaf);
     ensureCreated(pm_block);
-    if (!oram_->stash().contains(pm_block)) {
-        // In concurrent mode another request's fetch stage may have
-        // cleared this block off a shared bucket into its private
-        // buffer. That is harmless: the pos-map *content* lives in
-        // the flat table (the simulated block carries no payload the
-        // walk reads), and the remap below is safe for an in-flight
-        // block because absorbPath re-reads the leaf at deposit time.
-        // The access therefore completes obliviously - fresh remap,
-        // same-path write-back, PLB insert - with no retry, keeping
-        // the audited leaf sequence identical in distribution to the
-        // serial one (DESIGN.md §11).
-        panic_if(!oram_->concurrentEnabled(), "pos-map block ",
-                 pm_block, " missing from path ", leaf);
-    }
+    panic_if(!oram_->stash().contains(pm_block), "pos-map block ",
+             pm_block, " missing from path ", leaf);
     posMap_.setLeaf(pm_block, oram_->randomLeaf());
-    if (claim) {
-        // Remap landed: the block may evict normally again (this
-        // very writePath included, under its new leaf).
-        oram_->stash().releaseUnpin(pm_block,
-                                   claimTable_[pm_block.value()]);
-    }
     oram_->writePath(leaf);
     plb_.insert(pm_block);
 }

@@ -9,7 +9,6 @@
 #ifndef PRORAM_ORAM_UNIFIED_ORAM_HH
 #define PRORAM_ORAM_UNIFIED_ORAM_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -77,8 +76,7 @@ class UnifiedOram
      * (from where the normal write-back path materializes it). The
      * created bitset records which blocks exist physically; the
      * integrity checker skips the exactly-once test for uncreated
-     * blocks. Callers in concurrent mode must hold the stash lock
-     * (the controller's stage-1/stage-3a hooks do).  @{ */
+     * blocks. @{ */
     bool lazyInit() const { return cfg_.lazyInit; }
 
     /** True when @p id has a physical copy (always, in eager mode). */
@@ -97,20 +95,6 @@ class UnifiedOram
     bool ensureCreated(BlockId id);
     /** @} */
 
-    /**
-     * Concurrent-controller hook: the per-BlockId claim-count table
-     * (same array the stash's pin filter reads). When set,
-     * fetchPosMapBlock claims its pos-map block for the duration of
-     * the read-remap span so no concurrent eviction can place the
-     * block under its old leaf after the remap (the walk itself runs
-     * under the controller meta lock; the claim protects against
-     * *eviction* passes, which take no meta). nullptr in serial mode.
-     */
-    void setClaimTable(std::atomic<std::uint8_t> *claimed)
-    {
-        claimTable_ = claimed;
-    }
-
     const OramConfig &config() const { return cfg_; }
     const BlockSpace &space() const { return space_; }
     PositionMap &posMap() { return posMap_; }
@@ -121,10 +105,7 @@ class UnifiedOram
     const PosMapBlockCache &plb() const { return plb_; }
 
   private:
-    /** Path-access one pos-map block: read, remap, write back. In
-     *  concurrent mode the access completes even while the block is
-     *  in another request's in-flight fetch buffer (the walk never
-     *  reads the simulated block's payload - see the .cc comment). */
+    /** Path-access one pos-map block: read, remap, write back. */
     void fetchPosMapBlock(BlockId pm_block);
 
     OramConfig cfg_;
@@ -137,11 +118,8 @@ class UnifiedOram
     std::function<void(Leaf)> posMapObserver_;
     /** posMapWalk scratch (no allocation per walk once warmed up). */
     std::vector<BlockId> chainScratch_;
-    /** Claim-count table (controller-owned); see setClaimTable(). */
-    std::atomic<std::uint8_t> *claimTable_ = nullptr;
     /** Lazy mode: bit per block id, set once the block physically
-     *  exists (stash or tree). Empty in eager mode. Guarded by the
-     *  controller's stash lock in concurrent mode. */
+     *  exists (stash or tree). Empty in eager mode. */
     std::vector<std::uint64_t> created_;
 };
 

@@ -78,22 +78,6 @@ Experiment::runReplay(MemScheme scheme,
 }
 
 SimResult
-Experiment::runConcurrent(MemScheme scheme,
-                          const std::vector<TraceRecord> &records,
-                          unsigned workers,
-                          std::vector<std::uint64_t> *payloads) const
-{
-    SystemConfig cfg = base_;
-    cfg.scheme = scheme;
-    if (workers != 0)
-        cfg.workers = workers;
-    System system(cfg);
-    SimResult res = system.runQueue(records, payloads);
-    appendMetrics(system);
-    return res;
-}
-
-SimResult
 Experiment::runWith(
     MemScheme scheme, const std::function<void(SystemConfig &)> &tweak,
     const std::function<std::unique_ptr<TraceGenerator>()> &make_gen)

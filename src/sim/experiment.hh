@@ -71,18 +71,6 @@ class Experiment
     SimResult runReplay(MemScheme scheme,
                         const std::vector<TraceRecord> &records) const;
 
-    /**
-     * Drive @p records through the concurrent queue-drain mode
-     * (System::runQueue) with @p workers threads (0 = the config /
-     * $PRORAM_WORKERS default). workers == 1 is the serial drain,
-     * bit-identical to the controller's dataAccess chain. ORAM
-     * schemes only; @p payloads as in System::runQueue.
-     */
-    SimResult runConcurrent(
-        MemScheme scheme, const std::vector<TraceRecord> &records,
-        unsigned workers = 0,
-        std::vector<std::uint64_t> *payloads = nullptr) const;
-
     /** Same, with per-run config tweaks applied before building. */
     SimResult runWith(
         MemScheme scheme,

@@ -1,17 +1,10 @@
 #include "sim/system.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <cstdlib>
-#include <future>
-#include <sstream>
 
-#include "core/request_sequencer.hh"
-#include "cpu/request_batch.hh"
 #include "obs/metrics.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
-#include "util/thread_pool.hh"
 
 namespace proram
 {
@@ -81,10 +74,6 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     cpu_ = std::make_unique<TraceCpu>(*hierarchy_, *backend_,
                                       cfg_.hierarchy.l1.lineBytes,
                                       cfg_.cpuBatch);
-
-    workers_ = cfg_.workers == 0
-                   ? workersFromEnv()
-                   : std::min<unsigned>(cfg_.workers, kMaxDriveWorkers);
 }
 
 System::~System() = default;
@@ -133,11 +122,56 @@ System::run(TraceGenerator &gen)
     const CpuRunResult cpu = cpu_->run(gen);
 
     SimResult res;
-    res.scheme = schemeName(cfg_.scheme);
     res.cycles = cpu.cycles;
     res.references = cpu.references;
     res.llcMisses = cpu.llcMisses;
     res.writebacks = cpu.writebacks;
+    finishResult(res);
+    return res;
+}
+
+namespace
+{
+
+/** Deterministic per-record write payload: a function of the trace
+ *  index only. */
+std::uint64_t
+writePayload(std::size_t index)
+{
+    return (static_cast<std::uint64_t>(index) + 1) *
+           0x9E3779B97F4A7C15ULL;
+}
+
+} // namespace
+
+SimResult
+System::runQueue(const std::vector<TraceRecord> &records,
+                 std::vector<std::uint64_t> *payloads)
+{
+    panic_if(!controller_,
+             "runQueue drives the ORAM controller directly; use run() "
+             "for DRAM schemes");
+    if (payloads != nullptr)
+        payloads->assign(records.size(), 0);
+    const std::uint32_t shift = log2Floor(cfg_.hierarchy.l1.lineBytes);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+        controller_->dataAccess(
+            controller_->busyUntil(), BlockId{records[i].addr >> shift},
+            records[i].op, writePayload(i),
+            payloads != nullptr ? &(*payloads)[i] : nullptr);
+    }
+
+    SimResult res;
+    res.cycles = controller_->busyUntil();
+    res.references = records.size();
+    finishResult(res);
+    return res;
+}
+
+void
+System::finishResult(SimResult &res) const
+{
+    res.scheme = schemeName(cfg_.scheme);
     res.memAccesses = backend_->memAccessCount();
 
     if (controller_) {
@@ -161,109 +195,6 @@ System::run(TraceGenerator &gen)
                  "obliviousness audit FAILED for scheme ",
                  schemeName(cfg_.scheme), "\n", rep.summary());
     }
-    return res;
-}
-
-namespace
-{
-
-/** Deterministic per-record write payload: a function of the trace
- *  index only, so every worker count writes the same values. */
-std::uint64_t
-writePayload(std::size_t index)
-{
-    return (static_cast<std::uint64_t>(index) + 1) *
-           0x9E3779B97F4A7C15ULL;
-}
-
-} // namespace
-
-SimResult
-System::runQueue(const std::vector<TraceRecord> &records,
-                 std::vector<std::uint64_t> *payloads)
-{
-    panic_if(!controller_,
-             "runQueue drives the ORAM controller directly; use run() "
-             "for DRAM schemes");
-    // Flip the controller lazily, here rather than at construction:
-    // a System only ever driven through run() stays strictly serial
-    // no matter what $PRORAM_WORKERS says.
-    if (workers_ > 1 && !controller_->concurrentEnabled())
-        controller_->enableConcurrent(workers_);
-
-    const std::uint32_t shift = log2Floor(cfg_.hierarchy.l1.lineBytes);
-    std::vector<BlockId> blocks;
-    blocks.reserve(records.size());
-    for (const TraceRecord &rec : records)
-        blocks.push_back(BlockId{rec.addr >> shift});
-
-    RequestSequencer seq(records.size());
-    const std::vector<std::int64_t> deps = RequestSequencer::dependencies(
-        blocks, controller_->oram().space().numTotalBlocks());
-    if (payloads != nullptr)
-        payloads->assign(records.size(), 0);
-
-    std::atomic<std::size_t> cursor{0};
-    const auto drain = [&] {
-        for (;;) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= records.size())
-                break;
-            seq.waitFor(deps[i]);
-            const std::uint64_t wdata = writePayload(i);
-            const bool is_write = records[i].op == OpType::Write;
-            controller_->queueAccess(
-                blocks[i], records[i].op, is_write ? &wdata : nullptr,
-                payloads != nullptr ? &(*payloads)[i] : nullptr);
-            seq.markDone(i);
-        }
-    };
-
-    if (workers_ <= 1) {
-        drain();
-    } else {
-        util::ThreadPool pool(workers_);
-        std::vector<std::future<void>> futures;
-        futures.reserve(workers_);
-        for (unsigned w = 0; w < workers_; ++w)
-            futures.push_back(pool.submit(drain));
-        for (std::future<void> &f : futures)
-            f.get(); // rethrows worker panics
-    }
-    // Quiescent: every request has drained. Sync the dedup window's
-    // resident buckets back to the arena so direct tree readers
-    // (integrity checker, goldens, a later serial run()) see the
-    // authoritative copies.
-    controller_->flushSubtreeWindow();
-
-    SimResult res;
-    res.scheme = schemeName(cfg_.scheme);
-    res.cycles = controller_->busyUntil();
-    res.references = records.size();
-    res.memAccesses = backend_->memAccessCount();
-
-    const ControllerStats &cs = controller_->stats();
-    const PolicyStats &ps = controller_->policyStats();
-    res.pathAccesses = cs.pathAccesses;
-    res.posMapAccesses = cs.posMapAccesses;
-    res.bgEvictions = cs.bgEvictions;
-    res.periodicDummies = cs.periodicDummies;
-    res.prefetchHits = ps.prefetchHits;
-    res.prefetchMisses = ps.prefetchMisses;
-    res.merges = ps.merges;
-    res.breaks = ps.breaks;
-    res.avgStashOccupancy =
-        controller_->oram().engine().stash().occupancy().mean();
-
-    if (auditor_) {
-        const obs::AuditReport rep = auditor_->report();
-        panic_if(!rep.pass(),
-                 "obliviousness audit FAILED for scheme ",
-                 schemeName(cfg_.scheme), " (concurrent drive)\n",
-                 rep.summary());
-    }
-    return res;
 }
 
 } // namespace proram

@@ -69,20 +69,16 @@ class System
     SimResult run(TraceGenerator &gen);
 
     /**
-     * Concurrent drive mode (DESIGN.md §11): drain @p records through
-     * workers() threads calling OramController::queueAccess, with
-     * same-block requests held in trace order by a RequestSequencer.
-     * Bypasses the cache hierarchy - every record is one ORAM access.
-     * Writes carry a deterministic payload derived from the record
-     * index; @p payloads (when non-null) receives the value each
-     * access observed, so runs at different worker counts can be
-     * checked for result equivalence. ORAM schemes only.
+     * Drive @p records straight into the ORAM controller, one
+     * dataAccess per record back to back against its busy-until
+     * clock, bypassing the cache hierarchy. Writes carry a
+     * deterministic payload derived from the record index; @p
+     * payloads (when non-null) receives the value each access
+     * observed, so tests can check it against a trace-order model.
+     * ORAM schemes only.
      */
     SimResult runQueue(const std::vector<TraceRecord> &records,
                        std::vector<std::uint64_t> *payloads = nullptr);
-
-    /** Resolved drive workers (cfg.workers, or $PRORAM_WORKERS). */
-    unsigned workers() const { return workers_; }
 
     /** gem5-stats.txt-style dump of every component's counters. */
     std::string dumpStats() const;
@@ -102,13 +98,16 @@ class System
     const SystemConfig &config() const { return cfg_; }
 
   private:
+    /** Fill the backend/controller fields of @p res and panic if the
+     *  auditor (when attached) saw a leak. */
+    void finishResult(SimResult &res) const;
+
     SystemConfig cfg_;
     std::unique_ptr<CacheHierarchy> hierarchy_;
     std::unique_ptr<MemBackend> backend_;
     OramController *controller_ = nullptr;
     std::unique_ptr<obs::ObliviousnessAuditor> auditor_;
     std::unique_ptr<TraceCpu> cpu_;
-    unsigned workers_ = 1;
 };
 
 } // namespace proram

@@ -49,14 +49,6 @@ SystemConfig::validate() const
              "cacheline size must equal ORAM block size (Sec. 5.1)");
     fatal_if(hierarchy.l1.lineBytes != dram.dram.lineBytes,
              "cacheline size must equal DRAM transfer size");
-    fatal_if(workers > 1 && controller.periodic.enabled,
-             "concurrent drive is incompatible with the periodic "
-             "scheduler (timing protection is defined over a serial "
-             "schedule, DESIGN.md §11)");
-    fatal_if(workers > 1 && (scheme == MemScheme::OramPrefetch ||
-                             scheme == MemScheme::DramPrefetch),
-             "concurrent drive does not support the traditional "
-             "prefetcher (serial-only negative result, Fig. 5)");
     oram.validate();
 }
 

@@ -50,15 +50,6 @@ struct SystemConfig
      */
     std::uint32_t cpuBatch = 0;
 
-    /**
-     * Concurrent queue-drain workers for System::runQueue (DESIGN.md
-     * §11). 0 = take $PRORAM_WORKERS / serial default. 1 = serial
-     * drive (bit-identical to run()). > 1 flips the ORAM controller
-     * into the locked concurrent mode; incompatible with the periodic
-     * scheduler and the traditional prefetcher.
-     */
-    std::uint32_t workers = 0;
-
     /** Static super block size n (Sec. 3.3). */
     std::uint32_t staticSbSize = 2;
     /** Dynamic scheme knobs (Sec. 4.4). */

@@ -26,22 +26,6 @@ Distribution::sample(double v)
 }
 
 void
-Distribution::merge(const Distribution &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        min_ = other.min_;
-        max_ = other.max_;
-    } else {
-        min_ = std::min(min_, other.min_);
-        max_ = std::max(max_, other.max_);
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-}
-
-void
 Distribution::reset()
 {
     count_ = 0;

@@ -8,7 +8,6 @@
 #ifndef PRORAM_STATS_STATS_HH
 #define PRORAM_STATS_STATS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -34,38 +33,6 @@ class Counter
 };
 
 /**
- * A monotonically growing scalar that may be bumped from several
- * threads at once (relaxed ordering: it is a pure event count, never
- * used for inter-thread synchronisation). Drop-in for Counter where
- * the concurrent controller's workers share a component.
- */
-class AtomicCounter
-{
-  public:
-    AtomicCounter() = default;
-
-    AtomicCounter &operator++()
-    {
-        value_.fetch_add(1, std::memory_order_relaxed);
-        return *this;
-    }
-    AtomicCounter &operator+=(std::uint64_t n)
-    {
-        value_.fetch_add(n, std::memory_order_relaxed);
-        return *this;
-    }
-
-    std::uint64_t value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<std::uint64_t> value_{0};
-};
-
-/**
  * A sampled distribution: tracks count, sum, min, max and mean.
  * Used for stash occupancy, super-block sizes, queue delays etc.
  */
@@ -73,10 +40,6 @@ class Distribution
 {
   public:
     void sample(double v);
-
-    /** Fold @p other into this distribution (sharded collection:
-     *  each worker samples a private copy, merged once at the end). */
-    void merge(const Distribution &other);
 
     std::uint64_t count() const { return count_; }
     double sum() const { return sum_; }
@@ -130,7 +93,7 @@ class LogHistogram
 
     void sample(std::uint64_t v);
 
-    /** Fold @p other into this histogram (sharded collection). */
+    /** Fold @p other into this histogram (pooling several runs). */
     void merge(const LogHistogram &other);
 
     std::uint64_t total() const { return total_; }

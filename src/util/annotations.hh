@@ -25,15 +25,6 @@
  *   the same or the following source line, e.g.
  *   `// PRORAM_LINT_ALLOW(hot-alloc): one-time lazy init`.
  *   Suppressions are grep-able and reviewed like NOLINT.
- *
- * Thread-safety macros (PRORAM_CAPABILITY and friends) expand to
- * clang's Thread Safety Analysis attributes, so a clang build with
- * `-Wthread-safety -Werror` (the CI `thread-safety` job) statically
- * verifies the meta < node < stash-shard lock discipline documented
- * in DESIGN.md Sec. 15. Under gcc they expand to nothing. The only
- * sanctioned per-function opt-out is PRORAM_NO_THREAD_SAFETY_ANALYSIS,
- * and every use must carry a why-comment (condition-variable waits
- * and scoped-lock plumbing the analysis cannot model).
  */
 
 #ifndef PRORAM_UTIL_ANNOTATIONS_HH
@@ -46,52 +37,5 @@
 #define PRORAM_OBLIVIOUS
 #define PRORAM_HOT
 #endif
-
-/* Clang Thread Safety Analysis attribute surface. Kept to the subset
- * the codebase uses; see
- * https://clang.llvm.org/docs/ThreadSafetyAnalysis.html for semantics.
- */
-#if defined(__clang__) && defined(__has_attribute)
-#if __has_attribute(capability)
-#define PRORAM_TSA(x) __attribute__((x))
-#endif
-#endif
-#ifndef PRORAM_TSA
-#define PRORAM_TSA(x)
-#endif
-
-/** The annotated type is a lockable capability (e.g. util::Mutex). */
-#define PRORAM_CAPABILITY(x) PRORAM_TSA(capability(x))
-/** The annotated type is an RAII holder of a capability
- *  (e.g. util::ScopedLock). */
-#define PRORAM_SCOPED_CAPABILITY PRORAM_TSA(scoped_lockable)
-/** Data member readable/writable only while holding @p x. */
-#define PRORAM_GUARDED_BY(x) PRORAM_TSA(guarded_by(x))
-/** Pointee (not the pointer) guarded by @p x. */
-#define PRORAM_PT_GUARDED_BY(x) PRORAM_TSA(pt_guarded_by(x))
-/** Caller must hold the listed capabilities on entry (and still on
- *  exit). */
-#define PRORAM_REQUIRES(...) \
-    PRORAM_TSA(requires_capability(__VA_ARGS__))
-/** Function acquires the listed capabilities (held on return). */
-#define PRORAM_ACQUIRE(...) PRORAM_TSA(acquire_capability(__VA_ARGS__))
-/** Function releases the listed capabilities. */
-#define PRORAM_RELEASE(...) PRORAM_TSA(release_capability(__VA_ARGS__))
-/** Function acquires the capabilities iff it returns @p b. */
-#define PRORAM_TRY_ACQUIRE(b, ...) \
-    PRORAM_TSA(try_acquire_capability(b, __VA_ARGS__))
-/** Caller must NOT already hold the listed capabilities (deadlock
- *  guard for self-locking entry points). */
-#define PRORAM_EXCLUDES(...) PRORAM_TSA(locks_excluded(__VA_ARGS__))
-/** Declares static ordering between capabilities. */
-#define PRORAM_ACQUIRED_BEFORE(...) \
-    PRORAM_TSA(acquired_before(__VA_ARGS__))
-#define PRORAM_ACQUIRED_AFTER(...) \
-    PRORAM_TSA(acquired_after(__VA_ARGS__))
-/** Function returns a reference to a capability. */
-#define PRORAM_RETURN_CAPABILITY(x) PRORAM_TSA(lock_returned(x))
-/** Escape hatch: body not analyzed. Every use needs a why-comment. */
-#define PRORAM_NO_THREAD_SAFETY_ANALYSIS \
-    PRORAM_TSA(no_thread_safety_analysis)
 
 #endif // PRORAM_UTIL_ANNOTATIONS_HH

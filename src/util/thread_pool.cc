@@ -17,7 +17,7 @@ ThreadPool::ThreadPool(unsigned num_threads)
 ThreadPool::~ThreadPool()
 {
     {
-        const ScopedLock lock(mutex_);
+        const std::lock_guard<std::mutex> lock(mutex_);
         stopping_ = true;
     }
     cv_.notify_all();
@@ -29,23 +29,19 @@ void
 ThreadPool::enqueue(std::function<void()> job)
 {
     {
-        const ScopedLock lock(mutex_);
+        const std::lock_guard<std::mutex> lock(mutex_);
         queue_.push_back(std::move(job));
     }
     cv_.notify_one();
 }
 
-// Thread-safety escape: the condition-variable wait needs the native
-// std::mutex handle and releases/reacquires it invisibly. The rank
-// tracker still sees the hold via ScopedRank.
 void
-ThreadPool::workerLoop() PRORAM_NO_THREAD_SAFETY_ANALYSIS
+ThreadPool::workerLoop()
 {
     for (;;) {
         std::function<void()> job;
         {
-            const lock_order::ScopedRank rank(lock_order::Rank::Leaf);
-            std::unique_lock<std::mutex> lock(mutex_.native());
+            std::unique_lock<std::mutex> lock(mutex_);
             cv_.wait(lock,
                      [this] { return stopping_ || !queue_.empty(); });
             if (queue_.empty())

@@ -17,13 +17,11 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "util/annotations.hh"
-#include "util/mutex.hh"
 
 namespace proram::util
 {
@@ -74,15 +72,14 @@ class ThreadPool
     static unsigned defaultThreadCount();
 
   private:
-    void enqueue(std::function<void()> job) PRORAM_EXCLUDES(mutex_);
+    void enqueue(std::function<void()> job);
     void workerLoop();
 
-    /** Leaf rank: pool jobs acquire their own locks only after the
-     *  queue lock is released. */
-    util::Mutex mutex_{lock_order::Rank::Leaf};
+    /** Guards queue_ and stopping_. */
+    std::mutex mutex_;
     std::condition_variable cv_;
-    std::deque<std::function<void()>> queue_ PRORAM_GUARDED_BY(mutex_);
-    bool stopping_ PRORAM_GUARDED_BY(mutex_) = false;
+    std::deque<std::function<void()>> queue_;
+    bool stopping_ = false;
     std::vector<std::thread> workers_;
 };
 

@@ -2,16 +2,19 @@
  * @file
  * Scheme-interface conformance (DESIGN.md §14): every OramScheme
  * implementation must satisfy the same controller-visible contract.
- * The grid drives both protocols through the full pipelined
- * controller at several worker counts with the dedup window on and
- * off, and requires trace-order payload semantics plus the structural
- * invariants after any interleaving. The schemes legitimately differ
+ * The grid drives both protocols through the controller's serial
+ * queue drain (System::runQueue) under the baseline and dynamic
+ * policies, and requires trace-order payload semantics plus the
+ * structural invariants afterwards. The schemes legitimately differ
  * in path counts and timing; they must NOT differ in what a request
- * observes.
+ * observes. The QueueDrain tests cover the drain itself: a longer
+ * trace per policy, and the sparse lazily-created arena against the
+ * eager dense one.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -86,21 +89,18 @@ expectIntact(System &sys, const std::string &label)
 }
 
 class SchemeConformance
-    : public ::testing::TestWithParam<
-          std::tuple<SchemeKind, unsigned, int>>
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, MemScheme>>
 {
 };
 
 TEST_P(SchemeConformance, PayloadsMatchTraceOrderAndTreeStaysIntact)
 {
-    const auto [kind, workers, window] = GetParam();
+    const auto [kind, policy] = GetParam();
     const std::vector<TraceRecord> records =
         makeTrace(1200, 1ULL << 12, 0x5C4E3E);
 
     SystemConfig cfg = smallConfig(kind);
-    cfg.scheme = MemScheme::OramDynamic;
-    cfg.workers = workers;
-    cfg.controller.dedupWindow = window;
+    cfg.scheme = policy;
     System sys(cfg);
     std::vector<std::uint64_t> payloads;
     const SimResult res = sys.runQueue(records, &payloads);
@@ -108,42 +108,36 @@ TEST_P(SchemeConformance, PayloadsMatchTraceOrderAndTreeStaysIntact)
     EXPECT_EQ(res.references, records.size());
     EXPECT_GT(res.cycles, Cycles{0});
     EXPECT_EQ(payloads, expectedPayloads(records));
-    expectIntact(sys, std::string(schemeKindName(kind)) + "_w" +
-                          std::to_string(workers));
+    expectIntact(sys, std::string(schemeKindName(kind)) + "_" +
+                          schemeName(policy));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, SchemeConformance,
     ::testing::Combine(::testing::Values(SchemeKind::Path,
                                          SchemeKind::Ring),
-                       ::testing::Values(1u, 2u, 8u),
-                       ::testing::Values(0, 1)),
+                       ::testing::Values(MemScheme::OramBaseline,
+                                         MemScheme::OramDynamic)),
     [](const auto &info) {
         return std::string(schemeKindName(std::get<0>(info.param))) +
-               "_w" + std::to_string(std::get<1>(info.param)) +
-               "_win" + std::to_string(std::get<2>(info.param));
+               "_" + schemeName(std::get<1>(info.param));
     });
 
 TEST(SchemeConformance, SchemesObserveIdenticalPayloads)
 {
     // The protocol choice is invisible to the memory semantics: the
-    // same trace must read back the same values under either scheme,
-    // serial and concurrent.
+    // same trace must read back the same values under either scheme.
     const std::vector<TraceRecord> records =
         makeTrace(1500, 1ULL << 12, 0xFEED5);
     const std::vector<std::uint64_t> expect = expectedPayloads(records);
 
     for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
-        for (const unsigned workers : {1u, 8u}) {
-            SystemConfig cfg = smallConfig(kind);
-            cfg.scheme = MemScheme::OramBaseline;
-            cfg.workers = workers;
-            System sys(cfg);
-            std::vector<std::uint64_t> payloads;
-            sys.runQueue(records, &payloads);
-            EXPECT_EQ(payloads, expect)
-                << schemeKindName(kind) << " workers=" << workers;
-        }
+        SystemConfig cfg = smallConfig(kind);
+        cfg.scheme = MemScheme::OramBaseline;
+        System sys(cfg);
+        std::vector<std::uint64_t> payloads;
+        sys.runQueue(records, &payloads);
+        EXPECT_EQ(payloads, expect) << schemeKindName(kind);
     }
 }
 
@@ -158,7 +152,6 @@ TEST(SchemeConformance, AuditedRunPassesOnBothSchemes)
         SystemConfig cfg = smallConfig(kind);
         cfg.scheme = MemScheme::OramDynamic;
         cfg.audit.enabled = true;
-        cfg.workers = 4;
         System sys(cfg);
         const SimResult res = sys.runQueue(records, nullptr);
         EXPECT_EQ(res.references, records.size());
@@ -183,22 +176,18 @@ TEST(SchemeConformance, RingSurvivesSmallBucketAndBudgetCorners)
     // stash. Payload semantics must hold regardless.
     const std::vector<TraceRecord> records =
         makeTrace(800, 1ULL << 12, 0xC0124E5);
-    const std::vector<std::uint64_t> expect = expectedPayloads(records);
 
-    for (const unsigned workers : {1u, 8u}) {
-        SystemConfig cfg = smallConfig(SchemeKind::Ring);
-        cfg.scheme = MemScheme::OramDynamic;
-        cfg.workers = workers;
-        cfg.oram.z = 1;
-        cfg.oram.ringS = 1;
-        cfg.oram.ringA = 1;
-        cfg.oram.stashCapacity = 400;
-        System sys(cfg);
-        std::vector<std::uint64_t> payloads;
-        sys.runQueue(records, &payloads);
-        EXPECT_EQ(payloads, expect) << "workers=" << workers;
-        expectIntact(sys, "ring_small_zs_w" + std::to_string(workers));
-    }
+    SystemConfig cfg = smallConfig(SchemeKind::Ring);
+    cfg.scheme = MemScheme::OramDynamic;
+    cfg.oram.z = 1;
+    cfg.oram.ringS = 1;
+    cfg.oram.ringA = 1;
+    cfg.oram.stashCapacity = 400;
+    System sys(cfg);
+    std::vector<std::uint64_t> payloads;
+    sys.runQueue(records, &payloads);
+    EXPECT_EQ(payloads, expectedPayloads(records));
+    expectIntact(sys, "ring_small_zs");
 }
 
 TEST(SchemeConformance, MetricsLabelAndCountersNameTheScheme)
@@ -226,21 +215,126 @@ TEST(SchemeConformance, MetricsLabelAndCountersNameTheScheme)
 
 TEST(SchemeConformance, SerialRunMatchesQueueDrainPerScheme)
 {
-    // run() (trace CPU, serial protocol) and runQueue() at one worker
-    // drive the same engine; a scheme whose serial and staged paths
-    // disagree would diverge here via the integrity sweep.
+    // run() (trace CPU) and runQueue() drive the same engine; a
+    // scheme whose two drive paths disagree would diverge here via
+    // the integrity sweep.
     for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
         const std::vector<TraceRecord> records =
             makeTrace(1000, 1ULL << 12, 0x5E71A1);
         SystemConfig cfg = smallConfig(kind);
         cfg.scheme = MemScheme::OramBaseline;
-        cfg.workers = 1;
         System sys(cfg);
         std::vector<std::uint64_t> payloads;
         const SimResult res = sys.runQueue(records, &payloads);
         EXPECT_EQ(res.references, records.size());
         EXPECT_EQ(payloads, expectedPayloads(records));
         expectIntact(sys, std::string("serial_") + schemeKindName(kind));
+    }
+}
+
+/** The sparse arena with lazy block creation on top of @p cfg. */
+SystemConfig
+sparseLazy(SystemConfig cfg)
+{
+    cfg.oram.lazyInit = true;
+    cfg.oram.arena.kind = ArenaKind::Sparse;
+    cfg.oram.arena.chunkBuckets = 16;
+    return cfg;
+}
+
+/**
+ * Materialized-chunk set of @p sys's arena, after checking that the
+ * arena's chunk and byte counters agree with it exactly.
+ */
+std::vector<bool>
+materializedChunks(System &sys, const std::string &label)
+{
+    const ArenaBackend &arena =
+        sys.controller()->oram().engine().tree().arena();
+    std::vector<bool> chunks(arena.numChunks());
+    std::uint64_t seen = 0;
+    for (std::uint64_t c = 0; c < arena.numChunks(); ++c) {
+        chunks[c] = arena.materialized(c);
+        seen += chunks[c] ? 1 : 0;
+    }
+    EXPECT_EQ(arena.chunksMaterialized(), seen) << label;
+    EXPECT_EQ(arena.bytesResident(), seen * arena.chunkBytes()) << label;
+    return chunks;
+}
+
+class QueueDrain : public ::testing::TestWithParam<MemScheme>
+{
+};
+
+TEST_P(QueueDrain, PayloadsMatchTraceOrder)
+{
+    // A longer read-mostly mix through the serial queue drain.
+    const MemScheme policy = GetParam();
+    const std::vector<TraceRecord> records =
+        makeTrace(1500, 1ULL << 12, 0xC0FFEE);
+
+    SystemConfig cfg = smallConfig(SchemeKind::Path);
+    cfg.scheme = policy;
+    System sys(cfg);
+    std::vector<std::uint64_t> payloads;
+    const SimResult res = sys.runQueue(records, &payloads);
+
+    EXPECT_EQ(res.references, records.size());
+    EXPECT_GT(res.cycles, Cycles{0});
+    EXPECT_EQ(payloads, expectedPayloads(records));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, QueueDrain,
+    ::testing::Values(MemScheme::OramBaseline, MemScheme::OramDynamic),
+    [](const auto &info) { return std::string(schemeName(info.param)); });
+
+TEST(QueueDrain, SparseLazyMatchesEagerDense)
+{
+    // The sparse arena + lazy initialization must be invisible to
+    // the drive semantics: the run observes exactly the payloads of
+    // the eager dense run, first-touch accounting stays exact, and
+    // the invariants hold.
+    const std::vector<TraceRecord> records =
+        makeTrace(1500, 1ULL << 12, 0xFACADE);
+    for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
+        const std::string label = schemeKindName(kind);
+        SystemConfig cfg = smallConfig(kind);
+        cfg.scheme = MemScheme::OramDynamic;
+
+        System dense(cfg);
+        std::vector<std::uint64_t> expect;
+        dense.runQueue(records, &expect);
+
+        System sys(sparseLazy(cfg));
+        std::vector<std::uint64_t> payloads;
+        sys.runQueue(records, &payloads);
+        EXPECT_EQ(payloads, expect) << label;
+        ASSERT_NE(sys.controller(), nullptr);
+        const std::vector<bool> chunks = materializedChunks(sys, label);
+        EXPECT_NE(std::count(chunks.begin(), chunks.end(), true), 0)
+            << label;
+        expectIntact(sys, label);
+    }
+}
+
+TEST(QueueDrain, SparseLazyChunkSetIsDeterministic)
+{
+    // Same trace, run twice: lazy creation and chunk materialization
+    // are functions of the (seeded) access sequence alone, so the
+    // materialized-chunk set must repeat exactly.
+    const std::vector<TraceRecord> records =
+        makeTrace(1000, 1ULL << 12, 0xDECADE);
+    for (const SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
+        const std::string label = schemeKindName(kind);
+        const auto run = [&] {
+            SystemConfig cfg = smallConfig(kind);
+            cfg.scheme = MemScheme::OramBaseline;
+            System sys(sparseLazy(cfg));
+            sys.runQueue(records, nullptr);
+            return materializedChunks(sys, label);
+        };
+        EXPECT_EQ(run(), run()) << label;
     }
 }
 

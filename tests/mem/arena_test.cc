@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "util/logging.hh"
 
@@ -110,33 +108,6 @@ TEST(Arena, MaterializeIsIdempotentAndAllDummy)
     EXPECT_EQ(a->chunksMaterialized(), 1u);
     EXPECT_TRUE(a->materialized(3));
     EXPECT_FALSE(a->materialized(2));
-}
-
-TEST(Arena, ConcurrentFirstTouchMaterializesOnce)
-{
-    auto a = ArenaBackend::make(opts(ArenaKind::Sparse, 8), 1 << 12, 3);
-    // Hammer a small set of chunks from many threads; every thread
-    // must observe the same lane pointers and the count must equal
-    // the number of distinct chunks.
-    constexpr int kThreads = 8;
-    constexpr std::uint64_t kChunks = 16;
-    std::vector<std::vector<BlockId *>> seen(
-        kThreads, std::vector<BlockId *>(kChunks));
-    std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-        threads.emplace_back([&, t] {
-            for (std::uint64_t c = 0; c < kChunks; ++c)
-                seen[t][c] = a->materialize(c).ids;
-        });
-    }
-    for (std::thread &t : threads)
-        t.join();
-    EXPECT_EQ(a->chunksMaterialized(), kChunks);
-    for (int t = 1; t < kThreads; ++t) {
-        for (std::uint64_t c = 0; c < kChunks; ++c)
-            EXPECT_EQ(seen[t][c], seen[0][c]);
-    }
 }
 
 #if defined(__linux__)

@@ -4,9 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <atomic>
-#include <thread>
+#include <vector>
 
 namespace proram
 {
@@ -159,114 +157,6 @@ TEST(Stash, MutableDataThroughFindData)
     s.insert(7_id, 10, 0_leaf);
     *s.findData(7_id) = 20;
     EXPECT_EQ(*s.findData(7_id), 20u);
-}
-
-TEST(StashSharded, RedistributionPreservesContents)
-{
-    Stash s(200);
-    for (std::uint64_t i = 0; i < 100; ++i)
-        s.insert(BlockId{i}, i + 1000, Leaf{static_cast<std::uint32_t>(i)});
-
-    s.enableConcurrent(8);
-    EXPECT_TRUE(s.concurrentEnabled());
-    EXPECT_EQ(s.shardCount(), 8u);
-    EXPECT_EQ(s.size(), 100u);
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        const BlockId id{i};
-        EXPECT_TRUE(s.contains(id));
-        EXPECT_EQ(s.leafOf(id), Leaf{static_cast<std::uint32_t>(i)});
-        // Each block must live in exactly its hash shard: the
-        // shard-locked lookup on the owning shard finds it.
-        const std::uint32_t shard = s.shardOf(id);
-        auto guard = s.lockShard(shard);
-        std::uint64_t data = 0;
-        ASSERT_TRUE(s.lookupLocked(shard, id, nullptr, &data, nullptr));
-        EXPECT_EQ(data, i + 1000);
-    }
-    EXPECT_EQ(s.residentIds().size(), 100u);
-}
-
-TEST(StashSharded, ShardCountRoundsDownToPowerOfTwo)
-{
-    const auto count = [](std::uint32_t requested) {
-        Stash s(4);
-        s.enableConcurrent(requested);
-        return s.shardCount();
-    };
-    EXPECT_EQ(count(1), 1u);
-    EXPECT_EQ(count(6), 4u);
-    EXPECT_EQ(count(8), 8u);
-    EXPECT_EQ(count(1000), Stash::kMaxShards);
-}
-
-TEST(StashSharded, ClaimPinProtocol)
-{
-    Stash s(8);
-    std::atomic<std::uint8_t> count{0};
-    std::atomic<std::uint8_t> filter[16] = {};
-    s.setPinFilter(filter);
-    s.enableConcurrent(4);
-
-    // Claim before arrival: the block starts pinned at insert.
-    filter[3] = 1;
-    s.claimPin(3_id, count);
-    EXPECT_EQ(count.load(), 1u);
-    s.insert(3_id, 7, 0_leaf);
-    {
-        const std::uint32_t shard = s.shardOf(3_id);
-        auto guard = s.lockShard(shard);
-        bool pinned = false;
-        ASSERT_TRUE(s.lookupLocked(shard, 3_id, nullptr, nullptr,
-                                   &pinned));
-        EXPECT_TRUE(pinned);
-    }
-    // Second claim on a resident block nests; only the final release
-    // unpins.
-    s.claimPin(3_id, count);
-    EXPECT_EQ(count.load(), 2u);
-    s.releaseUnpin(3_id, count);
-    {
-        const std::uint32_t shard = s.shardOf(3_id);
-        auto guard = s.lockShard(shard);
-        bool pinned = false;
-        ASSERT_TRUE(s.lookupLocked(shard, 3_id, nullptr, nullptr,
-                                   &pinned));
-        EXPECT_TRUE(pinned);
-    }
-    s.releaseUnpin(3_id, count);
-    EXPECT_EQ(count.load(), 0u);
-    {
-        const std::uint32_t shard = s.shardOf(3_id);
-        auto guard = s.lockShard(shard);
-        bool pinned = true;
-        ASSERT_TRUE(s.lookupLocked(shard, 3_id, nullptr, nullptr,
-                                   &pinned));
-        EXPECT_FALSE(pinned);
-    }
-}
-
-TEST(StashSharded, AwaitResidentWakesOnInsert)
-{
-    Stash s(8);
-    s.enableConcurrent(2);
-    s.insert(9_id, 1, 0_leaf);
-    s.awaitResident(9_id); // already resident: returns immediately
-
-    std::thread producer([&s] { s.insert(5_id, 2, 1_leaf); });
-    s.awaitResident(5_id);
-    producer.join();
-    EXPECT_TRUE(s.contains(5_id));
-}
-
-TEST(StashSharded, ContentionCountersAccumulate)
-{
-    Stash s(8);
-    s.enableConcurrent(4);
-    const std::uint64_t before = s.shardLockAcquisitions();
-    s.insert(1_id, 1, 0_leaf);
-    s.erase(1_id);
-    EXPECT_GT(s.shardLockAcquisitions(), before);
-    EXPECT_LE(s.shardLockContended(), s.shardLockAcquisitions());
 }
 
 } // namespace

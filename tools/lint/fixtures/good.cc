@@ -94,21 +94,21 @@ coldSetup(std::vector<std::uint64_t> &lane, Leaf leaf)
         lane.reserve(128);
 }
 
-struct SubtreeCache
+struct BucketCache
 {
-    bool windowed(TreeIdx node) const;
+    bool cached(TreeIdx node) const;
     std::uint32_t occupancy(TreeIdx node) const;
 };
 
-// The dedup-window fast path (PathOram's bucket* helpers): routing a
-// bucket access through the resident-window copy branches only on a
-// bool local derived from a null check and the public node index -
-// both declassified, so the dispatch must lint clean.
+// An optional bucket-cache fast path: routing a bucket access through
+// a cached copy branches only on a bool local derived from a null
+// check and the public node index - both declassified, so the
+// dispatch must lint clean.
 PRORAM_OBLIVIOUS PRORAM_HOT std::uint32_t
-bucketOccupancyDispatch(SubtreeCache *cache, Leaf leaf)
+bucketOccupancyDispatch(BucketCache *cache, Leaf leaf)
 {
     const TreeIdx node = nodeOnPath(leaf, 0);
-    const bool win = cache != nullptr && cache->windowed(node);
+    const bool win = cache != nullptr && cache->cached(node);
     if (win)
         return cache->occupancy(node);
     return occupancy(node);

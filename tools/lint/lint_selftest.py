@@ -16,23 +16,22 @@ import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-import lock_order_lint  # noqa: E402
 import oblivious_lint  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
 
 
-def lint_fixture(name, subdir="src/oram", module=oblivious_lint):
+def lint_fixture(name, subdir="src/oram"):
     """Copy fixture @p name into <tmp>/<subdir>/ and lint it there
-    with @p module's text engine. Returns the list of diagnostics."""
+    with the text engine. Returns the list of diagnostics."""
     with tempfile.TemporaryDirectory() as tmp:
         dest_dir = os.path.join(tmp, subdir)
         os.makedirs(dest_dir)
         dest = os.path.join(dest_dir, name)
         shutil.copy(os.path.join(FIXTURES, name), dest)
         rel = os.path.relpath(dest, tmp)
-        report = module.lint_file_text(dest, rel)
+        report = oblivious_lint.lint_file_text(dest, rel)
         return report.diagnostics, report.suppressed
 
 
@@ -112,131 +111,123 @@ class ClockScope(unittest.TestCase):
         self.assertEqual(len(rand), 1)
 
 
-class StageAnnotations(unittest.TestCase):
-    """stage-annotation rule: the pipeline stage functions of
-    path_oram.cc must keep both macros on their definitions."""
+def lint_stub_text(filename, text):
+    """Lint @p text as src/oram/<filename> with the text engine."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dest_dir = os.path.join(tmp, "src", "oram")
+        os.makedirs(dest_dir)
+        dest = os.path.join(dest_dir, filename)
+        with open(dest, "w") as f:
+            f.write(text)
+        rel = os.path.relpath(dest, tmp)
+        return oblivious_lint.lint_file_text(dest, rel).diagnostics
 
+
+class StageAnnotations(unittest.TestCase):
+    """stage-annotation rule: the access stages of path_oram.cc must
+    keep both macros on their definitions."""
+
+    FILE = "path_oram.cc"
     STUB = """\
 PRORAM_OBLIVIOUS PRORAM_HOT void
 PathOram::readPath(Leaf leaf)
 {
 }
 %s
-PathOram::fetchPath(Leaf leaf, FetchedBlock *out)
-{
-}
-PRORAM_OBLIVIOUS PRORAM_HOT void
 PathOram::writePath(Leaf leaf)
-{
-}
-PRORAM_OBLIVIOUS PRORAM_HOT void
-PathOram::evictClassify(Leaf leaf)
-{
-}
-PRORAM_OBLIVIOUS PRORAM_HOT void
-PathOram::evictWriteBack(Leaf leaf)
-{
-}
-PRORAM_OBLIVIOUS PRORAM_HOT void
-PathOram::evictPath(Leaf leaf)
 {
 }
 """
 
-    def lint_stub(self, fetch_head):
-        with tempfile.TemporaryDirectory() as tmp:
-            dest_dir = os.path.join(tmp, "src", "oram")
-            os.makedirs(dest_dir)
-            dest = os.path.join(dest_dir, "path_oram.cc")
-            with open(dest, "w") as f:
-                f.write(self.STUB % fetch_head)
-            rel = os.path.relpath(dest, tmp)
-            return oblivious_lint.lint_file_text(dest, rel).diagnostics
+    def lint_stub(self, write_head):
+        return lint_stub_text(self.FILE, self.STUB % write_head)
 
     def test_fully_annotated_is_clean(self):
-        diags = self.lint_stub("PRORAM_OBLIVIOUS PRORAM_HOT std::size_t")
+        diags = self.lint_stub("PRORAM_OBLIVIOUS PRORAM_HOT void")
         self.assertEqual([], [str(d) for d in diags])
 
     def test_dropped_macro_caught(self):
-        diags = self.lint_stub("std::size_t")
+        diags = self.lint_stub("void")
         rules = [d.rule for d in diags]
         self.assertEqual(rules.count("stage-annotation"), 2)
         messages = " ".join(d.message for d in diags)
-        self.assertIn("fetchPath", messages)
+        self.assertIn("writePath", messages)
         self.assertIn("PRORAM_OBLIVIOUS", messages)
         self.assertIn("PRORAM_HOT", messages)
 
     def test_renamed_stage_caught(self):
-        diags = self.lint_stub(
-            "PRORAM_OBLIVIOUS PRORAM_HOT std::size_t").copy()
-        renamed = self.STUB.replace("fetchPath", "pullPath")
-        with tempfile.TemporaryDirectory() as tmp:
-            dest_dir = os.path.join(tmp, "src", "oram")
-            os.makedirs(dest_dir)
-            dest = os.path.join(dest_dir, "path_oram.cc")
-            with open(dest, "w") as f:
-                f.write(renamed %
-                        "PRORAM_OBLIVIOUS PRORAM_HOT std::size_t")
-            rel = os.path.relpath(dest, tmp)
-            diags = oblivious_lint.lint_file_text(dest, rel).diagnostics
+        renamed = self.STUB.replace("writePath", "pushPath")
+        diags = lint_stub_text(
+            self.FILE, renamed % "PRORAM_OBLIVIOUS PRORAM_HOT void")
         messages = " ".join(d.message for d in diags)
         self.assertIn("not found", messages)
-        self.assertIn("fetchPath", messages)
+        self.assertIn("writePath", messages)
 
     def test_other_files_unaffected(self):
-        # The rule is keyed to path_oram.cc; the same content under a
-        # different name must not fire.
-        with tempfile.TemporaryDirectory() as tmp:
-            dest_dir = os.path.join(tmp, "src", "oram")
-            os.makedirs(dest_dir)
-            dest = os.path.join(dest_dir, "other.cc")
-            with open(dest, "w") as f:
-                f.write("void f() {}\n")
-            rel = os.path.relpath(dest, tmp)
-            diags = oblivious_lint.lint_file_text(dest, rel).diagnostics
+        # The rule is keyed to the engine files; the same content
+        # under a different name must not fire.
+        diags = lint_stub_text("other.cc", "void f() {}\n")
         self.assertEqual([], [str(d) for d in diags])
 
 
 class RingStageAnnotations(unittest.TestCase):
     """stage-annotation covers ring_oram.cc's stage set too: both
-    engines carry the same six stage functions."""
+    engines carry the same two path stages."""
 
+    FILE = "ring_oram.cc"
     STUB = StageAnnotations.STUB.replace("PathOram", "RingOram")
 
-    def lint_stub(self, fetch_head):
-        with tempfile.TemporaryDirectory() as tmp:
-            dest_dir = os.path.join(tmp, "src", "oram")
-            os.makedirs(dest_dir)
-            dest = os.path.join(dest_dir, "ring_oram.cc")
-            with open(dest, "w") as f:
-                f.write(self.STUB % fetch_head)
-            rel = os.path.relpath(dest, tmp)
-            return oblivious_lint.lint_file_text(dest, rel).diagnostics
-
     def test_fully_annotated_is_clean(self):
-        diags = self.lint_stub("PRORAM_OBLIVIOUS PRORAM_HOT std::size_t")
+        diags = lint_stub_text(
+            self.FILE, self.STUB % "PRORAM_OBLIVIOUS PRORAM_HOT void")
         self.assertEqual([], [str(d) for d in diags])
 
     def test_dropped_macro_caught(self):
-        diags = self.lint_stub("std::size_t")
+        diags = lint_stub_text(self.FILE, self.STUB % "void")
         rules = [d.rule for d in diags]
         self.assertEqual(rules.count("stage-annotation"), 2)
         messages = " ".join(d.message for d in diags)
-        self.assertIn("RingOram::fetchPath", messages)
+        self.assertIn("RingOram::writePath", messages)
 
     def test_missing_stage_caught(self):
-        stub = self.STUB.replace("RingOram::evictPath", "RingOram::other")
-        with tempfile.TemporaryDirectory() as tmp:
-            dest_dir = os.path.join(tmp, "src", "oram")
-            os.makedirs(dest_dir)
-            dest = os.path.join(dest_dir, "ring_oram.cc")
-            with open(dest, "w") as f:
-                f.write(stub % "PRORAM_OBLIVIOUS PRORAM_HOT std::size_t")
-            rel = os.path.relpath(dest, tmp)
-            diags = oblivious_lint.lint_file_text(dest, rel).diagnostics
+        stub = self.STUB.replace("RingOram::readPath", "RingOram::other")
+        diags = lint_stub_text(
+            self.FILE, stub % "PRORAM_OBLIVIOUS PRORAM_HOT void")
         messages = " ".join(d.message for d in diags)
         self.assertIn("not found", messages)
-        self.assertIn("evictPath", messages)
+        self.assertIn("readPath", messages)
+
+
+class SharedEvictionAnnotations(unittest.TestCase):
+    """stage-annotation covers the greedy eviction both engines share
+    (OramScheme::evictOnto in scheme.cc)."""
+
+    FILE = "scheme.cc"
+    STUB = """\
+%s
+OramScheme::evictOnto(Leaf leaf)
+{
+}
+"""
+
+    def test_fully_annotated_is_clean(self):
+        diags = lint_stub_text(
+            self.FILE, self.STUB % "PRORAM_OBLIVIOUS PRORAM_HOT void")
+        self.assertEqual([], [str(d) for d in diags])
+
+    def test_dropped_macro_caught(self):
+        diags = lint_stub_text(self.FILE, self.STUB % "PRORAM_HOT void")
+        messages = " ".join(d.message for d in diags)
+        self.assertIn("OramScheme::evictOnto", messages)
+        self.assertIn("PRORAM_OBLIVIOUS", messages)
+
+    def test_renamed_stage_caught(self):
+        renamed = self.STUB.replace("evictOnto", "evictAll")
+        diags = lint_stub_text(
+            self.FILE, renamed % "PRORAM_OBLIVIOUS PRORAM_HOT void")
+        messages = " ".join(d.message for d in diags)
+        self.assertIn("not found", messages)
+        self.assertIn("evictOnto", messages)
 
 
 class SchemeIncludeBan(unittest.TestCase):
@@ -271,92 +262,6 @@ class SchemeIncludeBan(unittest.TestCase):
         self.assertEqual([], [str(d) for d in diags])
 
 
-class LockOrderBadFixture(unittest.TestCase):
-    """True-positive direction for lock_order_lint.py: every rule
-    catches its staged violation at the marked line."""
-
-    @classmethod
-    def setUpClass(cls):
-        cls.diags, cls.suppressed = lint_fixture(
-            "lock_order_bad.cc", subdir="src/core",
-            module=lock_order_lint)
-        cls.by_rule = {}
-        for d in cls.diags:
-            cls.by_rule.setdefault(d.rule, []).append(d)
-
-    def test_lock_order_caught(self):
-        hits = self.by_rule.get("lock-order", [])
-        # node->meta, shard->node, leaf->shard, legacy-guard inversion.
-        self.assertEqual(len(hits), 4)
-        messages = " ".join(d.message for d in hits)
-        self.assertIn("metaLock_", messages)
-        self.assertIn("lockNode()", messages)
-        self.assertIn("rngMutex_", messages)
-        self.assertIn("hierarchy is meta < node < stash-shard < leaf",
-                      hits[0].message)
-
-    def test_multi_hold_caught(self):
-        hits = self.by_rule.get("multi-node-hold", [])
-        self.assertEqual(len(hits), 2)  # two-nodes + two-shards
-        messages = " ".join(d.message for d in hits)
-        self.assertIn("node", messages)
-        self.assertIn("stash-shard", messages)
-
-    def test_secret_lock_caught(self):
-        hits = self.by_rule.get("secret-lock", [])
-        self.assertEqual(len(hits), 2)  # sentinel branch + ternary
-        messages = " ".join(d.message for d in hits)
-        self.assertIn("'id'", messages)
-        self.assertIn("ternary", messages)
-
-    def test_diagnostics_carry_location(self):
-        for d in self.diags:
-            self.assertTrue(d.path.endswith("lock_order_bad.cc"))
-            # Every intended violation line is marked in the fixture.
-            self.assertGreater(d.line, 0)
-        marked = {16, 26, 36, 47, 57, 68, 78, 88}
-        self.assertEqual({d.line for d in self.diags}, marked)
-
-    def test_nothing_suppressed_in_bad(self):
-        self.assertEqual(self.suppressed, 0)
-
-
-class LockOrderGoodFixture(unittest.TestCase):
-    """False-positive direction: the blessed evictPath shape,
-    sequential same-rank holds, early unlock, leaf stacking, factory
-    declarations/returns and public-condition locks are all clean."""
-
-    @classmethod
-    def setUpClass(cls):
-        cls.diags, cls.suppressed = lint_fixture(
-            "lock_order_good.cc", subdir="src/core",
-            module=lock_order_lint)
-
-    def test_clean(self):
-        self.assertEqual(
-            [], [str(d) for d in self.diags],
-            "lock_order_good.cc must lint clean")
-
-    def test_suppression_counted(self):
-        # goodSuppressed's reviewed inversion.
-        self.assertEqual(self.suppressed, 1)
-
-
-class LockOrderFactoryDeclarations(unittest.TestCase):
-    """The stash/cache headers declare ScopedLock-returning factories
-    (`util::ScopedLock lockShard(...) const ...;`); a declaration
-    acquires nothing and must not register as a hold."""
-
-    def test_header_declarations_clean(self):
-        root = os.path.dirname(os.path.dirname(HERE))
-        for header in ("src/oram/stash.hh", "src/oram/subtree_cache.hh"):
-            path = os.path.join(root, header)
-            report = lock_order_lint.lint_file_text(path, header)
-            self.assertEqual(
-                [], [str(d) for d in report.diagnostics],
-                f"{header} must lint clean")
-
-
 class ShippedTree(unittest.TestCase):
     """The shipped src/ tree lints clean (the CI hard gate)."""
 
@@ -364,12 +269,6 @@ class ShippedTree(unittest.TestCase):
         root = os.path.dirname(os.path.dirname(HERE))
         rc = oblivious_lint.main(["--root", root, "--engine", "text",
                                   "--quiet", "src"])
-        self.assertEqual(rc, 0)
-
-    def test_src_lock_order_clean(self):
-        root = os.path.dirname(os.path.dirname(HERE))
-        rc = lock_order_lint.main(["--root", root, "--engine", "text",
-                                   "--quiet", "src"])
         self.assertEqual(rc, 0)
 
 

@@ -38,15 +38,15 @@ Enforces three project rules over C++ sources (see DESIGN.md,
                  names, and the fallback engine cannot resolve the
                  receiver's type.)
 
-  stage-annotation  The pipelined controller's stage functions in
-                 src/oram/path_oram.cc and src/oram/ring_oram.cc
-                 (readPath / fetchPath / writePath / evictClassify /
-                 evictWriteBack / evictPath) must
+  stage-annotation  The path stages of one ORAM access - readPath /
+                 writePath in src/oram/path_oram.cc and
+                 src/oram/ring_oram.cc, and the shared greedy eviction
+                 OramScheme::evictOnto in src/oram/scheme.cc - must
                  keep both PRORAM_OBLIVIOUS and PRORAM_HOT on their
                  definitions. The other rules only fire inside
                  annotated bodies, so dropping a macro would silently
                  un-check the hottest, most security-critical loops
-                 (DESIGN.md §11); renaming a stage without updating
+                 (DESIGN.md §14); renaming a stage without updating
                  this list is also flagged.
 
 Suppression: `// PRORAM_LINT_ALLOW(<rule>): reason` on the same line
@@ -93,14 +93,9 @@ HOT_PATH_DIRS = ("src/oram", "src/core")
 # Stage functions that must stay fully annotated (stage-annotation
 # rule): file -> (class, required function names).
 STAGE_ANNOTATED = {
-    "src/oram/path_oram.cc": ("PathOram", (
-        "readPath", "fetchPath", "writePath",
-        "evictClassify", "evictWriteBack", "evictPath",
-    )),
-    "src/oram/ring_oram.cc": ("RingOram", (
-        "readPath", "fetchPath", "writePath",
-        "evictClassify", "evictWriteBack", "evictPath",
-    )),
+    "src/oram/scheme.cc": ("OramScheme", ("evictOnto",)),
+    "src/oram/path_oram.cc": ("PathOram", ("readPath", "writePath")),
+    "src/oram/ring_oram.cc": ("RingOram", ("readPath", "writePath")),
 }
 # The one directory allowed to read wall-clock time.
 CLOCK_ALLOWED_DIRS = ("src/obs",)
@@ -402,7 +397,7 @@ def check_stage_annotations(report: FileReport, relpath: str,
             if macro not in head:
                 emit(report, raw_lines, def_line, "stage-annotation",
                      f"{cls}::{func} must be annotated {macro} "
-                     "(pipeline stage; see DESIGN.md §11)")
+                     "(access stage; see DESIGN.md §14)")
 
 
 def emit(report: FileReport, raw_lines: list[str], line: int, rule: str,
