@@ -34,8 +34,8 @@ struct RequestBatch
     std::size_t size = 0;
 };
 
-/** Batch size from $PRORAM_BATCH, clamped to [1, kCapacity];
- *  kDefaultSize when unset or unparsable. */
+/** Batch size from $PRORAM_BATCH (checked: an integer in
+ *  1..kCapacity, else fatal); kDefaultSize when unset. */
 std::size_t batchSizeFromEnv();
 
 } // namespace proram

@@ -1,10 +1,10 @@
 #include "cpu/trace_cpu.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/trace.hh"
 #include "util/bits.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace proram
@@ -13,14 +13,9 @@ namespace proram
 std::size_t
 batchSizeFromEnv()
 {
-    const char *env = std::getenv("PRORAM_BATCH");
-    if (!env)
-        return RequestBatch::kDefaultSize;
-    const long v = std::atol(env);
-    if (v <= 0)
-        return RequestBatch::kDefaultSize;
-    return std::min<std::size_t>(static_cast<std::size_t>(v),
-                                 RequestBatch::kCapacity);
+    return static_cast<std::size_t>(envKnob("PRORAM_BATCH",
+                                            RequestBatch::kDefaultSize,
+                                            1, RequestBatch::kCapacity));
 }
 
 TraceCpu::TraceCpu(CacheHierarchy &hierarchy, MemBackend &backend,

@@ -9,6 +9,7 @@
 #include "obs/trace.hh"
 #include "util/annotations.hh"
 #include "util/bits.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 #if defined(__linux__)
@@ -24,14 +25,14 @@ namespace
 {
 
 /**
- * Per-lane byte offsets inside one chunk's storage block. The id lane
- * leads so the publication pointer is also the block base; 8-byte
- * alignment holds throughout (ids and payloads are 8-byte, the free
+ * Per-lane byte offsets inside one chunk's storage block. The header
+ * lane leads so the directory pointer is also the block base; 8-byte
+ * alignment holds throughout (headers and payloads are 8-byte, the free
  * lane trails and only needs 4).
  */
 struct ChunkLayout
 {
-    std::uint64_t idBytes;
+    std::uint64_t headerBytes;
     std::uint64_t dataBytes;
     std::uint64_t freeBytes;
     std::uint64_t totalBytes;
@@ -41,11 +42,11 @@ ChunkLayout
 chunkLayout(std::uint64_t chunk_slots, std::uint32_t chunk_buckets)
 {
     ChunkLayout l;
-    l.idBytes = chunk_slots * sizeof(BlockId);
+    l.headerBytes = chunk_slots * sizeof(SlotHeader);
     l.dataBytes = chunk_slots * sizeof(std::uint64_t);
     l.freeBytes =
         static_cast<std::uint64_t>(chunk_buckets) * sizeof(std::uint32_t);
-    l.totalBytes = l.idBytes + l.dataBytes + l.freeBytes;
+    l.totalBytes = l.headerBytes + l.dataBytes + l.freeBytes;
     return l;
 }
 
@@ -53,11 +54,11 @@ ArenaBackend::Lanes
 lanesAt(std::byte *base, const ChunkLayout &l)
 {
     ArenaBackend::Lanes lanes;
-    lanes.ids = reinterpret_cast<BlockId *>(base);
+    lanes.headers = reinterpret_cast<SlotHeader *>(base);
     lanes.data =
-        reinterpret_cast<std::uint64_t *>(base + l.idBytes);
-    lanes.free = reinterpret_cast<std::uint32_t *>(base + l.idBytes +
-                                                   l.dataBytes);
+        reinterpret_cast<std::uint64_t *>(base + l.headerBytes);
+    lanes.free = reinterpret_cast<std::uint32_t *>(
+        base + l.headerBytes + l.dataBytes);
     return lanes;
 }
 
@@ -142,7 +143,7 @@ class SparseArena final : public ArenaBackend
  * Reserved-mapping backend: the whole arena is one MAP_NORESERVE
  * mapping (anonymous, or MAP_SHARED on a backing file), so untouched
  * chunks cost address space but no memory; materialization writes the
- * chunk's id/free lanes, committing only those pages.
+ * chunk's header/free lanes, committing only those pages.
  */
 class MmapArena final : public ArenaBackend
 {
@@ -259,18 +260,9 @@ ArenaOptions::resolved() const
                                 : ArenaKind::Dense;
     }
     if (r.chunkBuckets == 0) {
-        const char *env = envOrNull("PRORAM_ARENA_CHUNK");
-        if (env != nullptr) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(env, &end, 10);
-            fatal_if(end == env || *end != '\0' || v == 0 ||
-                         v > (1ULL << 20),
-                     "PRORAM_ARENA_CHUNK: invalid chunk size '", env,
-                     "'");
-            r.chunkBuckets = static_cast<std::uint32_t>(v);
-        } else {
-            r.chunkBuckets = ArenaBackend::kDefaultChunkBuckets;
-        }
+        r.chunkBuckets = static_cast<std::uint32_t>(
+            envKnob("PRORAM_ARENA_CHUNK",
+                    ArenaBackend::kDefaultChunkBuckets, 1, 1ULL << 20));
     }
     if (r.kind == ArenaKind::Mmap && r.mmapPath.empty()) {
         const char *env = envOrNull("PRORAM_ARENA_FILE");
@@ -315,7 +307,7 @@ ArenaBackend::Lanes
 ArenaBackend::materialize(std::uint64_t chunk)
 {
     const Lanes existing = lanes(chunk);
-    if (existing.ids != nullptr)
+    if (existing.headers != nullptr)
         return existing;
     return materializeChunk(chunk, true);
 }
@@ -324,13 +316,13 @@ ArenaBackend::Lanes
 ArenaBackend::materializeChunk(std::uint64_t chunk, bool trace)
 {
     const Lanes fresh = provideChunk(chunk);
-    // All-dummy fill: id lane to the (non-zero) kInvalidBlock
-    // sentinel, free lane to z. The payload lane stays unwritten -
+    // All-dummy fill: header lane to the all-ones dummy header, free
+    // lane to z. The payload lane stays unwritten -
     // dummy payloads are never read (readPath skips dummy slots and
     // tryPlace overwrites before any real read), and skipping it is
     // what keeps materialization (and the dense constructor) from
     // touching 2/3 of the chunk's pages.
-    std::uninitialized_fill_n(fresh.ids, chunkSlots(), kInvalidBlock);
+    std::uninitialized_fill_n(fresh.headers, chunkSlots(), SlotHeader{});
     std::uninitialized_fill_n(fresh.free, chunkBuckets_, z_);
     chunks_[chunk] = fresh;
     ++chunksMaterialized_;

@@ -3,12 +3,15 @@
  * Pluggable storage backends for the Path ORAM slot arena
  * (DESIGN.md Sec. 12).
  *
- * The tree's id/payload/free-count lanes are split into fixed-size
- * *chunks* of consecutive heap-order buckets (a power of two, default
- * sized so one chunk's lanes span a small number of pages). A chunk
+ * The tree's header/payload/free-count lanes are split into
+ * fixed-size *chunks* of consecutive heap-order buckets (a power of
+ * two, default sized so one chunk's lanes span a small number of
+ * pages). Each slot's 8-byte header holds the block id and its leaf
+ * label, as Path ORAM stores them beside every block in the tree, so
+ * moving a block into the stash needs no position-map lookup. A chunk
  * that has never been written does not exist: it reads as all-dummy
- * (every slot id == kInvalidBlock, occupancy 0) without touching any
- * memory, so a 2^26-block tree costs only its touched fraction. Three
+ * (every header all-ones, occupancy 0) without touching any memory,
+ * so a 2^26-block tree costs only its touched fraction. Three
  * backends provide the storage:
  *
  *  - Dense: every chunk is materialized at construction into three
@@ -18,13 +21,13 @@
  *  - Sparse: chunks are heap-allocated on first write and recorded
  *    in the chunk directory.
  *  - Mmap: one large MAP_NORESERVE mapping (anonymous or file-backed)
- *    reserved up front; materialization touches only the chunk's id
- *    and free-count pages. Linux-only; optionally MADV_HUGEPAGE.
+ *    reserved up front; materialization touches only the chunk's
+ *    header and free-count pages. Linux-only; optionally MADV_HUGEPAGE.
  *
  * Each tree owns its arena and is driven by one thread (host
  * parallelism lives at the experiment-grid level, where every cell
  * builds its own System), so the chunk directory is a plain array: a
- * null id-lane pointer means the chunk is implicit all-dummy. The
+ * null header-lane pointer means the chunk is implicit all-dummy. The
  * materialization coordinate is the *public* heap node index - the
  * same value the simulated server observes for every bucket touched -
  * so demand materialization leaks nothing beyond the access pattern
@@ -48,6 +51,46 @@
 
 namespace proram
 {
+
+/**
+ * One tree slot's header: the resident block's id and its leaf label
+ * (the position-map leaf it was placed under). A dummy slot is
+ * all-ones in both words. The 32-bit id bounds a tree to fewer than
+ * 2^32 - 1 blocks (kMaxBlocks; BlockSpace enforces it) - the all-ones
+ * id is the dummy marker. Two 32-bit words fit the 8 bytes a 64-bit
+ * id would take, so carrying the leaf costs no lane bytes.
+ */
+struct SlotHeader
+{
+    static constexpr std::uint32_t kDummyWord = 0xFFFFFFFFu;
+    /** Exclusive bound on block ids a header can name. */
+    static constexpr std::uint64_t kMaxBlocks = kDummyWord;
+
+    std::uint32_t id = kDummyWord;
+    std::uint32_t leaf = kDummyWord;
+
+    /** The all-ones dummy header. */
+    SlotHeader() = default;
+    /** Header of real block @p block (id below kMaxBlocks) on
+     *  @p label. */
+    SlotHeader(BlockId block, Leaf label)
+        : id(static_cast<std::uint32_t>(block.value())),
+          leaf(label.value())
+    {
+    }
+
+    bool isDummy() const { return id == kDummyWord; }
+    /** The block id, or kInvalidBlock for a dummy slot. */
+    BlockId blockId() const
+    {
+        return isDummy() ? kInvalidBlock : BlockId{id};
+    }
+    /** The leaf label, or kInvalidLeaf for a dummy slot. */
+    Leaf leafLabel() const { return Leaf{leaf}; }
+};
+
+static_assert(sizeof(SlotHeader) == 8,
+              "the slot header must keep the 8-byte lane stride");
 
 /** Which slot-arena storage backend backs the tree. */
 enum class ArenaKind : std::uint8_t
@@ -100,7 +143,7 @@ struct ArenaOptions
 class ArenaBackend
 {
   public:
-    /** Default chunk geometry: 256 buckets = 10 KiB of id lane + free
+    /** Default chunk geometry: 256 buckets = 10 KiB of header lane + free
      *  lane + payload at Z=3, a small number of 4 KiB pages. */
     static constexpr std::uint32_t kDefaultChunkBuckets = 256;
 
@@ -116,10 +159,10 @@ class ArenaBackend
     ArenaBackend &operator=(const ArenaBackend &) = delete;
 
     /** Lane pointers for one materialized chunk (slot i of the
-     *  chunk's bucket c lives at index c*z+i of ids/data). */
+     *  chunk's bucket c lives at index c*z+i of headers/data). */
     struct Lanes
     {
-        BlockId *ids = nullptr;
+        SlotHeader *headers = nullptr;
         std::uint64_t *data = nullptr;
         std::uint32_t *free = nullptr;
     };
@@ -128,7 +171,7 @@ class ArenaBackend
      *  implicit (all-dummy). */
     struct View
     {
-        const BlockId *ids = nullptr;
+        const SlotHeader *headers = nullptr;
         const std::uint64_t *data = nullptr;
         const std::uint32_t *free = nullptr;
     };
@@ -147,14 +190,14 @@ class ArenaBackend
 
     /**
      * Read access to chunk @p chunk. Null pointers mean the chunk is
-     * still implicit: every slot id reads kInvalidBlock, every
+     * still implicit: every slot header reads dummy, every
      * bucket has z() free slots, payloads read 0. Never materializes
      * (reads must stay O(0) memory - see BinaryTree).
      */
     View view(std::uint64_t chunk) const
     {
         const Lanes &c = chunks_[chunk];
-        return View{c.ids, c.data, c.free};
+        return View{c.headers, c.data, c.free};
     }
 
     /** Writable lanes of chunk @p chunk, or all-null if implicit. */
@@ -162,8 +205,8 @@ class ArenaBackend
 
     /**
      * Materialize chunk @p chunk (idempotent): allocate
-     * its lanes, fill the id lane with kInvalidBlock and the free
-     * lane with z (the payload lane is left unwritten - dummy
+     * its lanes, fill the header lane with dummy headers and the
+     * free lane with z (the payload lane is left unwritten - dummy
      * payloads are never read), publish, count. The argument is a
      * public tree coordinate; see the file comment.
      */
@@ -171,7 +214,7 @@ class ArenaBackend
 
     bool materialized(std::uint64_t chunk) const
     {
-        return chunks_[chunk].ids != nullptr;
+        return chunks_[chunk].headers != nullptr;
     }
 
     /** @name Telemetry (PR-4 metrics registry / `arena` traces). @{ */

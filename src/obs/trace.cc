@@ -11,6 +11,7 @@
 
 #include "stats/json.hh"
 #include "util/bits.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace proram::obs
@@ -101,13 +102,10 @@ TraceSink::TraceSink()
         catCounts_[i].store(0, std::memory_order_relaxed);
     }
     epochNs_ = steadyNowNs();
-    std::size_t cap = std::size_t{1} << 18; // ~256k events
-    if (const char *env = std::getenv("PRORAM_TRACE_BUFFER")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            cap = static_cast<std::size_t>(v);
-    }
-    setCapacity(cap);
+    // Default ~256k events; the bound keeps a typo from asking for a
+    // ring of many gigabytes.
+    setCapacity(static_cast<std::size_t>(envKnob(
+        "PRORAM_TRACE_BUFFER", std::size_t{1} << 18, 1, kMaxEnvEvents)));
 }
 
 void

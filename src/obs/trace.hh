@@ -87,6 +87,9 @@ class TraceSink
         detail::traceEnabled.store(on, std::memory_order_relaxed);
     }
 
+    /** Largest ring $PRORAM_TRACE_BUFFER may ask for, in events. */
+    static constexpr std::uint64_t kMaxEnvEvents = 1ULL << 24;
+
     /** Resize the ring (drops recorded events). Not thread-safe:
      *  call while no recorders are active. Rounded up to a power of
      *  two; minimum 1024 events. */

@@ -4,6 +4,7 @@
 #include <cstdlib>
 
 #include "util/bits.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace proram
@@ -51,15 +52,8 @@ resolveRingKnob(std::uint32_t configured, const char *env_name,
 {
     if (configured != 0)
         return configured;
-    const char *env = std::getenv(env_name);
-    if (env == nullptr)
-        return fallback;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    fatal_if(end == env || *end != '\0' || v == 0 || v > max,
-             env_name, ": invalid value '", env, "' (want 1..", max,
-             ")");
-    return static_cast<std::uint32_t>(v);
+    return static_cast<std::uint32_t>(
+        envKnob(env_name, fallback, 1, max));
 }
 
 } // namespace

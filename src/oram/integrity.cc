@@ -30,11 +30,15 @@ checkIntegrity(const UnifiedOram &oram)
     const BlockSpace &space = oram.space();
     const std::uint64_t total = space.numTotalBlocks();
 
-    // Pass 1: locate every tree copy; detect duplicates and misplaced
-    // blocks. A block at bucket `node`, level `l` must satisfy
-    // node == nodeOnPath(leaf(id), l). The copy counts live in a
-    // dense per-id table (ids are contiguous in [0, total)); pass 3
-    // walks the whole range anyway.
+    // Pass 1: locate every tree copy; detect duplicates, misplaced
+    // blocks and stale slot headers. A block at bucket `node`, level
+    // `l` must satisfy node == nodeOnPath(leaf(id), l), and the leaf
+    // in its slot header must equal leaf(id): readPath hands the
+    // header leaf to the stash, so a stale one would evict the block
+    // onto the wrong path. The header stays right only because every
+    // remap after initialization hits a stash-resident block. The
+    // copy counts live in a dense per-id table (ids are contiguous in
+    // [0, total)); pass 3 walks the whole range anyway.
     std::vector<int> copies(total, 0);
     for (TreeIdx node{0}; node.value() < tree.numBuckets(); ++node) {
         // Recover the level of this heap node.
@@ -55,6 +59,10 @@ checkIntegrity(const UnifiedOram &oram)
             }
             if (tree.nodeOnPath(leaf, level) != node)
                 report.fail(str("block off its mapped path", id));
+            if (tree.slotLeaf(node, i) != leaf)
+                report.fail(str("slot header leaf differs from the "
+                                "position map",
+                                id));
         }
     }
 

@@ -33,7 +33,8 @@ struct IntegrityReport
 /**
  * Check every invariant the paper's correctness rests on:
  *  1. every block exists exactly once (stash xor tree);
- *  2. a tree-resident block sits on the path its leaf maps to;
+ *  2. a tree-resident block sits on the path its leaf maps to, and
+ *     its slot header carries that same leaf;
  *  3. super blocks are aligned, power-of-two sized, size-consistent
  *     and co-mapped to a single leaf (Sec. 3.2);
  *  4. position-map blocks never belong to super blocks;

@@ -23,11 +23,12 @@ PathOram::readPath(Leaf leaf)
         if (tree_.occupancy(node) == 0)
             continue;
         for (std::uint32_t i = 0; i < z; ++i) {
-            const BlockId id = tree_.slotId(node, i);
-            if (id == kInvalidBlock)
+            const SlotHeader h = tree_.slotHeader(node, i);
+            if (h.isDummy())
                 continue;
+            const BlockId id = h.blockId();
             const bool fresh = stash_.insert(id, tree_.slotData(node, i),
-                                             posMap_.leafOf(id));
+                                             h.leafLabel());
             panic_if(!fresh, "block ", id,
                      " duplicated between tree and stash");
             tree_.clearSlot(node, i);

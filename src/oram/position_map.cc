@@ -1,5 +1,6 @@
 #include "oram/position_map.hh"
 
+#include "mem/arena.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
@@ -18,6 +19,10 @@ BlockSpace::BlockSpace(const OramConfig &cfg)
         base += count;
     }
     total_ = base.value();
+    fatal_if(total_ >= SlotHeader::kMaxBlocks, "ORAM of ", total_,
+             " blocks (data + position map) exceeds the 32-bit id of "
+             "the tree slot header (at most ",
+             SlotHeader::kMaxBlocks - 1, " blocks)");
 }
 
 std::uint32_t

@@ -70,19 +70,20 @@ RingOram::readPath(Leaf leaf)
         std::uint32_t extracted = 0;
         if (tree_.occupancy(node) != 0) {
             for (std::uint32_t i = 0; i < z; ++i) {
-                const BlockId id = tree_.slotId(node, i);
-                if (id == kInvalidBlock)
+                const SlotHeader h = tree_.slotHeader(node, i);
+                if (h.isDummy())
                     continue;
                 // Interest-set probe: only blocks mapped to the
                 // accessed leaf leave their bucket (the demanded
                 // super block's members and pos-map blocks all map
                 // there). Which block a bucket read returns is
-                // client-internal metadata in the hardware design;
-                // the public pattern is one read per bucket on the
-                // path either way.
+                // client-internal metadata in the hardware design
+                // (the slot header's leaf); the public pattern is one
+                // read per bucket on the path either way.
                 // PRORAM_LINT_ALLOW(secret-branch): see above.
-                if (posMap_.leafOf(id) != leaf)
+                if (h.leafLabel() != leaf)
                     continue;
+                const BlockId id = h.blockId();
                 const bool fresh = stash_.insert(
                     id, tree_.slotData(node, i), leaf);
                 panic_if(!fresh, "block ", id,
@@ -129,11 +130,12 @@ RingOram::runScheduledEviction()
         if (tree_.occupancy(node) == 0)
             continue;
         for (std::uint32_t i = 0; i < z; ++i) {
-            const BlockId id = tree_.slotId(node, i);
-            if (id == kInvalidBlock)
+            const SlotHeader h = tree_.slotHeader(node, i);
+            if (h.isDummy())
                 continue;
+            const BlockId id = h.blockId();
             const bool fresh = stash_.insert(id, tree_.slotData(node, i),
-                                             posMap_.leafOf(id));
+                                             h.leafLabel());
             panic_if(!fresh, "block ", id,
                      " duplicated between tree and stash");
             tree_.clearSlot(node, i);

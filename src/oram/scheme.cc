@@ -1,7 +1,5 @@
 #include "oram/scheme.hh"
 
-#include <cassert>
-
 #include "obs/trace.hh"
 #include "oram/evict_kernel.hh"
 #include "oram/path_oram.hh"
@@ -15,7 +13,8 @@ namespace proram
 OramScheme::OramScheme(const OramConfig &cfg, PositionMap &pos_map)
     : cfg_(cfg), posMap_(pos_map),
       tree_(cfg.levels(), cfg.z, cfg.arena),
-      stash_(cfg.stashCapacity), rng_(cfg.seed ^ 0x0aa77aa55aa33aa1ULL)
+      stash_(cfg.stashCapacity, pos_map.size()),
+      rng_(cfg.seed ^ 0x0aa77aa55aa33aa1ULL)
 {
     // Pre-size the eviction scratch from the tree geometry so the
     // first accesses after construction are allocation-free too. The
@@ -66,9 +65,12 @@ OramScheme::evictOnto(Leaf leaf)
     // Counting-sort eviction: classify every stash slot's deepest
     // eligible level in one vectorized sweep over the contiguous leaf
     // lane, histogram the live slots per level, then stable-scatter
-    // ids + payloads into one flat array grouped deepest level first.
-    // Insertion order within a level is preserved, so placement is a
-    // deterministic function of stash insertion order.
+    // the slot numbers into one flat array grouped deepest level
+    // first. Insertion order within a level is preserved, so placement
+    // is a deterministic function of stash insertion order. Placed
+    // blocks are released by slot (no lookup by id) and the stash is
+    // compacted once, after the pass, so slot numbers stay valid
+    // throughout it.
     const std::uint32_t levels = tree_.levels();
     const std::size_t slots = stash_.slotCount();
     reserveScratch(slots);
@@ -100,7 +102,7 @@ OramScheme::evictOnto(Leaf leaf)
         if (ids[i] == kInvalidBlock)
             continue;
         sortedScratch_[levelCursorScratch_[levelScratch_[i]]++] =
-            Evictable{ids[i], payloads[i]};
+            static_cast<std::uint32_t>(i);
     }
 
     // Fill buckets greedily from the leaf upward; unplaced deeper
@@ -117,14 +119,13 @@ OramScheme::evictOnto(Leaf leaf)
         }
         const TreeIdx node = tree_.nodeOnPath(leaf, Level{l});
         while (!poolScratch_.empty() && tree_.freeSlots(node) != 0) {
-            const Evictable ev = poolScratch_.back();
+            const std::uint32_t slot = poolScratch_.back();
             poolScratch_.pop_back();
-            tree_.tryPlace(node, ev.id, ev.data);
-            const bool erased = stash_.erase(ev.id);
-            assert(erased && "eligible block vanished from stash");
-            (void)erased;
+            tree_.tryPlace(node, ids[slot], leaves[slot], payloads[slot]);
+            stash_.releaseSlot(slot);
         }
     }
+    stash_.compact();
     stash_.sampleOccupancy();
 }
 
@@ -134,7 +135,8 @@ OramScheme::placeInitial(BlockId id, std::uint64_t data)
     const Leaf leaf = posMap_.leafOf(id);
     panic_if(leaf == kInvalidLeaf, "placeInitial before leaf assignment");
     for (std::uint32_t l = tree_.levels() + 1; l-- > 0;) {
-        if (tree_.tryPlace(tree_.nodeOnPath(leaf, Level{l}), id, data))
+        if (tree_.tryPlace(tree_.nodeOnPath(leaf, Level{l}), id, leaf,
+                           data))
             return;
     }
     stash_.insert(id, data, leaf);

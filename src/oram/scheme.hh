@@ -56,7 +56,10 @@ struct SchemeCounters
  *    stash-resident.
  *  - The policy may remap any stash-resident block via
  *    PositionMap::setLeaf between readPath and writePath; schemes must
- *    not cache block->leaf assignments across that boundary.
+ *    not cache block->leaf assignments across that boundary. Nothing
+ *    may remap a tree-resident block: its leaf also lives in its slot
+ *    header, which readPath trusts (checkIntegrity verifies the two
+ *    agree).
  *  - writePath(leaf) restores the scheme's tree invariant ("a block
  *    is on its mapped path or in the stash"); it need not write the
  *    demanded path (Ring ORAM evicts on its own schedule).
@@ -113,8 +116,9 @@ class OramScheme
     Leaf randomLeaf();
 
     /**
-     * Place a block into the deepest free bucket on its mapped path,
-     * falling back to the stash. Used for initialization only.
+     * Place a block into the deepest free bucket on its mapped path
+     * (PositionMap::leafOf, stored in the slot header), falling back
+     * to the stash. Used for initialization only.
      */
     void placeInitial(BlockId id, std::uint64_t data);
 
@@ -142,7 +146,8 @@ class OramScheme
      * Greedy eviction of the stash onto path @p leaf (paper Sec. 2.2
      * step 5): every block lands in the deepest bucket it shares with
      * @p leaf that still has room, buckets filled leaf upward; blocks
-     * that fit nowhere stay in the stash. Path ORAM evicts onto the
+     * that fit nowhere stay in the stash. Each placed block's slot
+     * header takes the stash's cached leaf. Path ORAM evicts onto the
      * just-read path, Ring ORAM onto its scheduled path.
      */
     void evictOnto(Leaf leaf);
@@ -157,14 +162,6 @@ class OramScheme
     std::function<void(Leaf)> evictionObserver_;
 
   private:
-    /** A stash block staged for eviction: id plus payload captured in
-     *  the single stash scan so write-back needs no re-lookup. */
-    struct Evictable
-    {
-        BlockId id;
-        std::uint64_t data;
-    };
-
     /** Grow the per-slot scratch to cover @p slots stash slots. */
     void reserveScratch(std::size_t slots);
 
@@ -176,10 +173,11 @@ class OramScheme
     std::vector<std::uint32_t> histScratch_;
     std::vector<std::uint32_t> levelStartScratch_;
     std::vector<std::uint32_t> levelCursorScratch_;
-    /** Evictables grouped deepest level first, insertion order kept
-     *  within each level (the stable-scatter output). */
-    std::vector<Evictable> sortedScratch_;
-    std::vector<Evictable> poolScratch_;
+    /** Stash slots of the live blocks grouped deepest level first,
+     *  insertion order kept within each level (the stable-scatter
+     *  output); the pool holds the slots still waiting for a bucket. */
+    std::vector<std::uint32_t> sortedScratch_;
+    std::vector<std::uint32_t> poolScratch_;
 };
 
 /** Build the scheme selected by @p cfg (after resolvedScheme()). */

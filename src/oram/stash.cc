@@ -1,13 +1,14 @@
 #include "oram/stash.hh"
 
 #include "util/annotations.hh"
+#include "util/logging.hh"
 
 namespace proram
 {
 
-Stash::Stash(std::uint32_t capacity)
-    : capacity_(capacity),
-      index_(static_cast<std::size_t>(capacity) * 2)
+Stash::Stash(std::uint32_t capacity, std::uint64_t num_blocks)
+    : capacity_(capacity), numBlocks_(num_blocks),
+      resident_((num_blocks + 63) / 64, 0)
 {
     const std::size_t reserve = static_cast<std::size_t>(capacity) * 2;
     ids_.reserve(reserve);
@@ -18,9 +19,11 @@ Stash::Stash(std::uint32_t capacity)
 PRORAM_HOT bool
 Stash::insert(BlockId id, std::uint64_t data, Leaf leaf)
 {
-    if (index_.get(id.value()) != FlatIndex::kNone)
+    panic_if(id.value() >= numBlocks_, "stash insert of block ", id,
+             " outside the ", numBlocks_, "-block id space");
+    if (contains(id))
         return false;
-    index_.put(id.value(), static_cast<std::uint32_t>(ids_.size()));
+    setResident(id.value(), true);
     // PRORAM_LINT_ALLOW(hot-alloc): lanes reserve 2x capacity up
     // front; these appends only reallocate past double overflow.
     ids_.push_back(id);
@@ -32,51 +35,56 @@ Stash::insert(BlockId id, std::uint64_t data, Leaf leaf)
     return true;
 }
 
+PRORAM_HOT std::size_t
+Stash::slotOf(BlockId id) const
+{
+    for (std::size_t i = ids_.size(); i-- > 0;) {
+        if (ids_[i] == id)
+            return i;
+    }
+    panic("block ", id, " marked resident but absent from the stash");
+}
+
 PRORAM_HOT std::uint64_t *
 Stash::findData(BlockId id)
 {
-    const std::uint32_t slot = index_.get(id.value());
-    return slot == FlatIndex::kNone ? nullptr : &data_[slot];
+    return contains(id) ? &data_[slotOf(id)] : nullptr;
 }
 
 PRORAM_HOT Leaf
 Stash::leafOf(BlockId id) const
 {
-    const std::uint32_t slot = index_.get(id.value());
-    return slot == FlatIndex::kNone ? kInvalidLeaf : leaves_[slot];
-}
-
-PRORAM_HOT bool
-Stash::erase(BlockId id)
-{
-    const std::uint32_t slot = index_.get(id.value());
-    if (slot == FlatIndex::kNone)
-        return false;
-    // Mark dead in place: shuffling survivors would perturb the
-    // insertion order the eviction scan (and replay determinism)
-    // depends on. Compaction below preserves relative order. The
-    // leaf/data lanes keep their stale words - lane consumers skip
-    // dead slots by id.
-    ids_[slot] = kInvalidBlock;
-    index_.erase(id.value());
-    --live_;
-    ++dead_;
-    if (dead_ >= 16 && dead_ >= live_)
-        compact();
-    return true;
+    return contains(id) ? leaves_[slotOf(id)] : kInvalidLeaf;
 }
 
 PRORAM_HOT void
 Stash::updateLeaf(BlockId id, Leaf leaf)
 {
-    const std::uint32_t slot = index_.get(id.value());
-    if (slot != FlatIndex::kNone)
-        leaves_[slot] = leaf;
+    if (contains(id))
+        leaves_[slotOf(id)] = leaf;
+}
+
+PRORAM_HOT void
+Stash::releaseSlot(std::size_t slot)
+{
+    const BlockId id = ids_[slot];
+    panic_if(id == kInvalidBlock, "release of dead stash slot ", slot);
+    // Mark dead in place: shuffling survivors would perturb the
+    // insertion order the eviction scan (and replay determinism)
+    // depends on. compact() preserves relative order. The leaf/data
+    // lanes keep their stale words - lane consumers skip dead slots
+    // by id.
+    ids_[slot] = kInvalidBlock;
+    setResident(id.value(), false);
+    --live_;
+    ++dead_;
 }
 
 void
 Stash::compact()
 {
+    if (dead_ == 0)
+        return;
     std::size_t out = 0;
     for (std::size_t in = 0; in < ids_.size(); ++in) {
         if (ids_[in] == kInvalidBlock)
@@ -86,7 +94,6 @@ Stash::compact()
             leaves_[out] = leaves_[in];
             data_[out] = data_[in];
         }
-        index_.put(ids_[out].value(), static_cast<std::uint32_t>(out));
         ++out;
     }
     ids_.resize(out);

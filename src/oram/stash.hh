@@ -4,17 +4,24 @@
  * evicted back. Path ORAM's invariant is that a block mapped to leaf s
  * is either on path s or in the stash.
  *
- * Storage is one dense insertion-ordered flat map in
- * structure-of-arrays form: three parallel lanes (block ids, cached
- * leaves, payload words) share slot numbering, a FlatIndex maps
- * BlockId -> slot, and erase marks the slot dead instead of shuffling
- * survivors so iteration order stays insertion order by construction -
- * the determinism the replay tests rely on. The leaf lane is what
- * makes the writePath eviction scan vectorizable: evict::classifyLevels
- * streams one contiguous Leaf array with no per-entry struct stride.
- * Cached leaves mirror the position map (kept coherent by
- * PositionMap's setLeaf hook) so writePath never does a position-map
- * lookup per block per access.
+ * Storage is one dense insertion-ordered store in structure-of-arrays
+ * form: three parallel lanes (block ids, cached leaves, payload words)
+ * share slot numbering. There is no id -> slot index. Residency is a
+ * bitset over the whole BlockId space, sized at construction, so
+ * contains() and the duplicate-insert check are O(1) and the hot path
+ * never allocates; the few per-access lookups by id (findData,
+ * leafOf, updateLeaf) test the bitset first and only then scan the id
+ * lane, which holds a few dozen live slots. Blocks are moved out by
+ * slot: eviction already holds each block's slot from its lane scan,
+ * releases it in place (the slot turns dead, survivors do not move)
+ * and compacts once at the end of the pass, so iteration order stays
+ * insertion order by construction - the determinism the replay tests
+ * rely on. The leaf lane is what makes the eviction scan
+ * vectorizable: evict::classifyLevels streams one contiguous Leaf
+ * array with no per-entry struct stride. Cached leaves mirror the
+ * position map (kept coherent by PositionMap's setLeaf hook) and are
+ * what eviction writes into the tree's slot headers, so neither half
+ * of an access does a position-map lookup per block.
  */
 
 #ifndef PRORAM_ORAM_STASH_HH
@@ -24,7 +31,6 @@
 #include <vector>
 
 #include "stats/stats.hh"
-#include "util/flat_index.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -46,32 +52,36 @@ struct StashEntry
  * would deadlock; the controller's job is to keep it small).
  *
  * Pointers returned by findData() and the lane pointers are
- * invalidated by insert(), erase(), and any call that may compact
- * the lanes.
+ * invalidated by insert() and compact().
  */
 class Stash
 {
   public:
-    explicit Stash(std::uint32_t capacity);
+    /**
+     * @param capacity soft occupancy threshold (overCapacity()).
+     * @param num_blocks size of the id space [0, num_blocks) the
+     *        residency bitset covers; inserting an id outside it is a
+     *        simulator bug.
+     */
+    Stash(std::uint32_t capacity, std::uint64_t num_blocks);
 
     /** Add a block mapped to @p leaf. @return false if already
      *  present (the existing entry is left untouched). */
     bool insert(BlockId id, std::uint64_t data, Leaf leaf);
 
+    /** O(1): one residency-bitset probe. */
     bool contains(BlockId id) const
     {
-        return index_.get(id.value()) != FlatIndex::kNone;
+        const std::uint64_t v = id.value();
+        return v < numBlocks_ && ((resident_[v >> 6] >> (v & 63)) & 1);
     }
 
     /** @return pointer to the block's payload word or nullptr.
-     *  Invalidated by any mutating call. */
+     *  Invalidated by insert() and compact(). */
     std::uint64_t *findData(BlockId id);
 
     /** Cached leaf of @p id, or kInvalidLeaf if not resident. */
     Leaf leafOf(BlockId id) const;
-
-    /** Remove a block. @return true if it was present. */
-    bool erase(BlockId id);
 
     /**
      * Refresh the cached leaf of @p id if it is resident; no-op
@@ -81,6 +91,17 @@ class Stash
      */
     void updateLeaf(BlockId id, Leaf leaf);
 
+    /**
+     * Remove the block in live slot @p slot. The slot turns dead in
+     * place (id lane kInvalidBlock) and every other slot keeps its
+     * number until compact(), so a caller walking the lanes may
+     * release several slots in one pass.
+     */
+    void releaseSlot(std::size_t slot);
+
+    /** Drop dead slots, preserving the survivors' relative order. */
+    void compact();
+
     std::size_t size() const { return live_; }
     std::uint32_t capacity() const { return capacity_; }
     bool overCapacity() const { return live_ > capacity_; }
@@ -89,7 +110,7 @@ class Stash
      *  Slots [0, slotCount()) include dead entries: a slot is live iff
      *  idLane()[slot] != kInvalidBlock, and dead slots' leaf/data
      *  lanes hold stale values callers must ignore. Pointers are
-     *  invalidated by any mutating call. @{ */
+     *  invalidated by insert() and compact(). @{ */
     std::size_t slotCount() const { return ids_.size(); }
     const BlockId *idLane() const { return ids_.data(); }
     const Leaf *leafLane() const { return leaves_.data(); }
@@ -125,17 +146,27 @@ class Stash
     const stats::Distribution &occupancy() const { return occupancy_; }
 
   private:
-    /** Drop dead slots, preserving the survivors' relative order. */
-    void compact();
+    /** Slot of resident block @p id (the caller checked contains()).
+     *  Scans newest first: the blocks an access looks up are the ones
+     *  its own readPath just appended. */
+    std::size_t slotOf(BlockId id) const;
+
+    void setResident(std::uint64_t v, bool on)
+    {
+        const std::uint64_t bit = 1ULL << (v & 63);
+        resident_[v >> 6] = on ? (resident_[v >> 6] | bit)
+                               : (resident_[v >> 6] & ~bit);
+    }
 
     std::uint32_t capacity_;
+    std::uint64_t numBlocks_;
     /** Parallel SoA lanes; dead slots keep id == kInvalidBlock until
      *  compact() reclaims them. */
     std::vector<BlockId> ids_;
     std::vector<Leaf> leaves_;
     std::vector<std::uint64_t> data_;
-    /** BlockId -> slot. */
-    FlatIndex index_;
+    /** One bit per BlockId in [0, numBlocks_): set iff resident. */
+    std::vector<std::uint64_t> resident_;
     std::size_t live_ = 0;
     std::size_t dead_ = 0;
     stats::Distribution occupancy_;

@@ -1,6 +1,7 @@
 #include "oram/tree.hh"
 
 #include <bit>
+#include <cassert>
 
 #include "util/logging.hh"
 
@@ -44,13 +45,16 @@ BinaryTree::nodeOnPath(Leaf leaf, Level level) const
 }
 
 bool
-BinaryTree::tryPlace(TreeIdx node, BlockId id, std::uint64_t data)
+BinaryTree::tryPlace(TreeIdx node, BlockId id, Leaf leaf,
+                     std::uint64_t data)
 {
+    assert(id.value() < SlotHeader::kMaxBlocks &&
+           "block id does not fit the slot header");
     const std::uint64_t n = node.value();
     ArenaBackend::Lanes l = arena_->lanes(n >> chunkShift_);
-    if (l.ids != nullptr && l.free[n & chunkMask_] == 0)
+    if (l.headers != nullptr && l.free[n & chunkMask_] == 0)
         return false;
-    if (l.ids == nullptr) {
+    if (l.headers == nullptr) {
         // First write into an implicit chunk: the bucket is all-dummy
         // (it cannot be full), so a placement is guaranteed and the
         // materialization cost is paid by an insertion, never a read.
@@ -58,8 +62,8 @@ BinaryTree::tryPlace(TreeIdx node, BlockId id, std::uint64_t data)
     }
     const std::uint64_t base = (n & chunkMask_) * z_;
     for (std::uint32_t i = 0; i < z_; ++i) {
-        if (l.ids[base + i] == kInvalidBlock) {
-            l.ids[base + i] = id;
+        if (l.headers[base + i].isDummy()) {
+            l.headers[base + i] = SlotHeader{id, leaf};
             l.data[base + i] = data;
             --l.free[n & chunkMask_];
             return true;
@@ -74,22 +78,22 @@ BinaryTree::clearSlot(TreeIdx node, std::uint32_t i)
 {
     const std::uint64_t n = node.value();
     const ArenaBackend::Lanes l = arena_->lanes(n >> chunkShift_);
-    if (l.ids == nullptr)
+    if (l.headers == nullptr)
         return; // implicit chunk: the slot is already dummy
     const std::uint64_t at = (n & chunkMask_) * z_ + i;
-    if (l.ids[at] != kInvalidBlock) {
+    if (!l.headers[at].isDummy()) {
         ++l.free[n & chunkMask_];
         l.data[at] = 0;
     }
-    l.ids[at] = kInvalidBlock;
+    l.headers[at] = SlotHeader{};
 }
 
-BlockId &
-BinaryTree::rawSlotId(TreeIdx node, std::uint32_t i)
+SlotHeader &
+BinaryTree::rawSlotHeader(TreeIdx node, std::uint32_t i)
 {
     const std::uint64_t n = node.value();
     const ArenaBackend::Lanes l = arena_->materialize(n >> chunkShift_);
-    return l.ids[(n & chunkMask_) * z_ + i];
+    return l.headers[(n & chunkMask_) * z_ + i];
 }
 
 std::uint64_t &
@@ -119,10 +123,10 @@ BinaryTree::countRealBlocks() const
         static_cast<std::uint64_t>(arena_->chunkBuckets()) * z_;
     for (std::uint64_t c = 0; c < arena_->numChunks(); ++c) {
         const ArenaBackend::View v = arena_->view(c);
-        if (v.ids == nullptr)
+        if (v.headers == nullptr)
             continue; // implicit chunk: all-dummy by construction
         for (std::uint64_t s = 0; s < chunk_slots; ++s) {
-            if (v.ids[s] != kInvalidBlock)
+            if (!v.headers[s].isDummy())
                 ++n;
         }
     }

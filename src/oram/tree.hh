@@ -14,10 +14,17 @@
  *
  * Memory layout (DESIGN.md "Memory layout" / Sec. 12): buckets are
  * grouped into fixed-size chunks; within a chunk, bucket c slot i
- * lives at lane offset c*Z+i. Block ids and payload words are split
- * into two parallel lanes so the hot scans (readPath looking for real
- * blocks, occupancy checks) stream over one contiguous id run per
- * bucket and never touch payloads they do not copy. Per-bucket
+ * lives at lane offset c*Z+i. Slot headers and payload words are
+ * split into two parallel lanes so the hot scans (readPath looking
+ * for real blocks, occupancy checks) stream over one contiguous
+ * header run per bucket and never touch payloads they do not copy.
+ * A header is {uint32 id, uint32 leaf} (mem/arena.hh SlotHeader):
+ * like Path ORAM's in-tree block metadata, it carries the leaf the
+ * block was placed under, so readPath moves a block into the stash
+ * without a position-map lookup and the eviction writes the stash's
+ * cached leaf back. The header leaf equals PositionMap::leafOf for
+ * every tree-resident block because only stash-resident blocks are
+ * remapped (DESIGN.md Sec. 14; checkIntegrity verifies it). Per-bucket
  * free-slot counts are a third lane, making occupancy O(1). A chunk
  * that was never *written* is implicit: it reads as all-dummy without
  * existing in memory, which is what makes paper-scale (2^26-block)
@@ -52,6 +59,7 @@ class BucketRef
     std::uint32_t z() const;
 
     BlockId id(std::uint32_t i) const;
+    Leaf leaf(std::uint32_t i) const;
     std::uint64_t data(std::uint32_t i) const;
     bool isDummy(std::uint32_t i) const { return id(i) == kInvalidBlock; }
 
@@ -69,10 +77,10 @@ class BucketRef
     std::uint32_t freeSlots() const;
 
     /**
-     * Place a real block into the first dummy slot. @return false if
-     * the bucket is full (O(1) in that case).
+     * Place block @p id, mapped to @p leaf, into the first dummy slot.
+     * @return false if the bucket is full (O(1) in that case).
      */
-    bool tryPlace(BlockId id, std::uint64_t data);
+    bool tryPlace(BlockId id, Leaf leaf, std::uint64_t data);
 
     /** Evict slot @p i back to dummy, releasing it for reuse. */
     void clearSlot(std::uint32_t i);
@@ -80,7 +88,7 @@ class BucketRef
     /** @name Raw slot words (test/corruption interface).
      *  Writes bypass the free-slot bookkeeping; taking a reference
      *  counts as a write and materializes the owning chunk. @{ */
-    BlockId &rawId(std::uint32_t i);
+    SlotHeader &rawHeader(std::uint32_t i);
     std::uint64_t &rawData(std::uint32_t i);
     /** @} */
 
@@ -99,11 +107,12 @@ class BucketRef
  * Provides path geometry helpers used by the ORAM engine and by the
  * invariant checker.
  *
- * Read accessors (slotId/slotData/freeSlots/occupancy) never
- * materialize: an implicit chunk answers all-dummy from the null
- * directory entry alone. Writes (tryPlace, rawId/rawData) materialize
- * the owning chunk on first touch; clearSlot of an implicit chunk is
- * a no-op (the slot is already dummy).
+ * Read accessors (slotHeader/slotId/slotLeaf/slotData/freeSlots/
+ * occupancy) never materialize: an implicit chunk answers all-dummy
+ * from the null directory entry alone. Writes (tryPlace,
+ * rawHeader/rawData) materialize the owning chunk on first touch;
+ * clearSlot of an implicit chunk is a no-op (the slot is already
+ * dummy).
  */
 class BinaryTree
 {
@@ -136,19 +145,31 @@ class BinaryTree
 
     /** @name Arena hot-path accessors (chunked; bucket b slot i at
      *  lane offset (b mod chunk)*Z+i of chunk b/chunk). @{ */
-    BlockId slotId(TreeIdx node, std::uint32_t i) const
+    /** Header of slot @p i of @p node (dummy for an implicit chunk). */
+    SlotHeader slotHeader(TreeIdx node, std::uint32_t i) const
     {
         const std::uint64_t n = node.value();
         const ArenaBackend::View v = arena_->view(n >> chunkShift_);
-        if (v.ids == nullptr)
-            return kInvalidBlock;
-        return v.ids[(n & chunkMask_) * z_ + i];
+        if (v.headers == nullptr)
+            return SlotHeader{};
+        return v.headers[(n & chunkMask_) * z_ + i];
+    }
+    /** Block in slot @p i of @p node, kInvalidBlock if dummy. */
+    BlockId slotId(TreeIdx node, std::uint32_t i) const
+    {
+        return slotHeader(node, i).blockId();
+    }
+    /** Leaf label stored with slot @p i 's block, kInvalidLeaf if
+     *  dummy. */
+    Leaf slotLeaf(TreeIdx node, std::uint32_t i) const
+    {
+        return slotHeader(node, i).leafLabel();
     }
     std::uint64_t slotData(TreeIdx node, std::uint32_t i) const
     {
         const std::uint64_t n = node.value();
         const ArenaBackend::View v = arena_->view(n >> chunkShift_);
-        if (v.ids == nullptr)
+        if (v.headers == nullptr)
             return 0;
         return v.data[(n & chunkMask_) * z_ + i];
     }
@@ -158,7 +179,7 @@ class BinaryTree
     {
         const std::uint64_t n = node.value();
         const ArenaBackend::View v = arena_->view(n >> chunkShift_);
-        if (v.ids == nullptr)
+        if (v.headers == nullptr)
             return z_;
         return v.free[n & chunkMask_];
     }
@@ -168,10 +189,11 @@ class BinaryTree
         return z_ - freeSlots(node);
     }
 
-    /** Place a block in the first dummy slot of @p node; false if the
-     *  bucket is full (O(1) in that case). Materializes the owning
-     *  chunk on first touch. */
-    bool tryPlace(TreeIdx node, BlockId id, std::uint64_t data);
+    /** Place block @p id, mapped to @p leaf, in the first dummy slot
+     *  of @p node; false if the bucket is full (O(1) in that case).
+     *  Materializes the owning chunk on first touch. */
+    bool tryPlace(TreeIdx node, BlockId id, Leaf leaf,
+                  std::uint64_t data);
 
     /** Evict slot @p i of @p node back to dummy. */
     void clearSlot(TreeIdx node, std::uint32_t i);
@@ -192,7 +214,7 @@ class BinaryTree
     friend class BucketRef;
 
     /** Writable slot words; materializes the owning chunk. */
-    BlockId &rawSlotId(TreeIdx node, std::uint32_t i);
+    SlotHeader &rawSlotHeader(TreeIdx node, std::uint32_t i);
     std::uint64_t &rawSlotData(TreeIdx node, std::uint32_t i);
 
     std::uint32_t levels_;
@@ -217,6 +239,12 @@ BucketRef::id(std::uint32_t i) const
     return tree_->slotId(node_, i);
 }
 
+inline Leaf
+BucketRef::leaf(std::uint32_t i) const
+{
+    return tree_->slotLeaf(node_, i);
+}
+
 inline std::uint64_t
 BucketRef::data(std::uint32_t i) const
 {
@@ -236,9 +264,9 @@ BucketRef::freeSlots() const
 }
 
 inline bool
-BucketRef::tryPlace(BlockId id, std::uint64_t data)
+BucketRef::tryPlace(BlockId id, Leaf leaf, std::uint64_t data)
 {
-    return tree_->tryPlace(node_, id, data);
+    return tree_->tryPlace(node_, id, leaf, data);
 }
 
 inline void
@@ -247,10 +275,10 @@ BucketRef::clearSlot(std::uint32_t i)
     tree_->clearSlot(node_, i);
 }
 
-inline BlockId &
-BucketRef::rawId(std::uint32_t i)
+inline SlotHeader &
+BucketRef::rawHeader(std::uint32_t i)
 {
-    return tree_->rawSlotId(node_, i);
+    return tree_->rawSlotHeader(node_, i);
 }
 
 inline std::uint64_t &

@@ -2,10 +2,12 @@
  * @file
  * Open-addressing hash index from BlockId-sized keys to 32-bit slot
  * numbers: one contiguous cell array, linear probing, backward-shift
- * deletion (no tombstones). This is the lookup side of the ORAM core's
- * cache-conscious containers (dense stash, PLB): the *values* live in
- * a flat array owned by the caller; the index only maps key -> slot,
- * so a probe touches one small cell run instead of chasing list nodes.
+ * deletion (no tombstones). It is the lookup side of the PLB's
+ * array-backed LRU (oram/position_map.hh), its only user: the *values*
+ * live in a flat array owned by the caller; the index only maps
+ * key -> slot, so a probe touches one small cell run instead of
+ * chasing list nodes. (The stash needs no index: a residency bitset
+ * plus a short lane scan serve its few lookups by id - oram/stash.hh.)
  */
 
 #ifndef PRORAM_UTIL_FLAT_INDEX_HH

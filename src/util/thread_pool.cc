@@ -1,6 +1,6 @@
 #include "util/thread_pool.hh"
 
-#include <cstdlib>
+#include "util/env.hh"
 
 namespace proram::util
 {
@@ -56,13 +56,10 @@ ThreadPool::workerLoop()
 unsigned
 ThreadPool::defaultThreadCount()
 {
-    if (const char *env = std::getenv("PRORAM_BENCH_THREADS")) {
-        const long v = std::atol(env);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
+    return static_cast<unsigned>(envKnob("PRORAM_BENCH_THREADS",
+                                         hw == 0 ? 1 : hw, 1,
+                                         kMaxEnvThreads));
 }
 
 } // namespace proram::util

@@ -65,8 +65,12 @@ class ThreadPool
         return result;
     }
 
+    /** Largest worker count $PRORAM_BENCH_THREADS may ask for. */
+    static constexpr unsigned kMaxEnvThreads = 256;
+
     /**
-     * Worker count from $PRORAM_BENCH_THREADS, defaulting to
+     * Worker count from $PRORAM_BENCH_THREADS (checked: an integer in
+     * 1..kMaxEnvThreads, else fatal), defaulting to
      * std::thread::hardware_concurrency() (>= 1).
      */
     static unsigned defaultThreadCount();

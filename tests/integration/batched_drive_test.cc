@@ -15,6 +15,7 @@
 #include "cpu/request_batch.hh"
 #include "sim/experiment.hh"
 #include "trace/benchmarks.hh"
+#include "util/logging.hh"
 
 namespace proram
 {
@@ -88,14 +89,17 @@ TEST(BatchedDrive, ReplayFastPathMatchesLiveGenerator)
     expectSameResult(live, replay, "replay vs live");
 }
 
-TEST(BatchedDrive, BatchSizeFromEnvClampsToCapacity)
+TEST(BatchedDrive, BatchSizeFromEnvIsChecked)
 {
-    ::setenv("PRORAM_BATCH", "9999", 1);
-    EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kCapacity);
-    ::setenv("PRORAM_BATCH", "0", 1); // non-positive: fall to default
-    EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kDefaultSize);
     ::setenv("PRORAM_BATCH", "17", 1);
     EXPECT_EQ(batchSizeFromEnv(), 17u);
+    ::setenv("PRORAM_BATCH", "256", 1);
+    EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kCapacity);
+    // Out of range or garbage is fatal, never a silent default.
+    for (const char *bad : {"9999", "0", "-3", "abc", "64x", ""}) {
+        ::setenv("PRORAM_BATCH", bad, 1);
+        EXPECT_THROW(batchSizeFromEnv(), SimFatal) << "'" << bad << "'";
+    }
     ::unsetenv("PRORAM_BATCH");
     EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kDefaultSize);
 }

@@ -72,7 +72,7 @@ TEST(Arena, GeometryRoundsUpToWholeChunks)
     EXPECT_EQ(a->numChunks(), 7u);
     EXPECT_EQ(a->chunkBuckets(), 16u);
     EXPECT_EQ(a->chunkShift(), 4u);
-    // Lane bytes per chunk: 16*3 ids + 16*3 payloads + 16 counts.
+    // Lane bytes per chunk: 16*3 headers + 16*3 payloads + 16 counts.
     EXPECT_EQ(a->chunkBytes(), 16u * 3 * 8 + 16u * 3 * 8 + 16u * 4);
     EXPECT_EQ(a->bytesTotal(), 7 * a->chunkBytes());
     EXPECT_EQ(a->bytesResident(), 0u);
@@ -87,8 +87,8 @@ TEST(Arena, DenseIsFullyResidentUpFront)
     // Every chunk is readable and all-dummy.
     for (std::uint64_t c = 0; c < a->numChunks(); ++c) {
         const ArenaBackend::View v = a->view(c);
-        ASSERT_NE(v.ids, nullptr);
-        EXPECT_EQ(v.ids[0], kInvalidBlock);
+        ASSERT_NE(v.headers, nullptr);
+        EXPECT_TRUE(v.headers[0].isDummy());
         EXPECT_EQ(v.free[0], 3u);
     }
 }
@@ -96,15 +96,17 @@ TEST(Arena, DenseIsFullyResidentUpFront)
 TEST(Arena, MaterializeIsIdempotentAndAllDummy)
 {
     auto a = ArenaBackend::make(opts(ArenaKind::Sparse, 8), 64, 2);
-    EXPECT_EQ(a->view(3).ids, nullptr);
+    EXPECT_EQ(a->view(3).headers, nullptr);
     const ArenaBackend::Lanes l = a->materialize(3);
-    ASSERT_NE(l.ids, nullptr);
-    for (std::uint64_t s = 0; s < 8 * 2; ++s)
-        EXPECT_EQ(l.ids[s], kInvalidBlock);
+    ASSERT_NE(l.headers, nullptr);
+    for (std::uint64_t s = 0; s < 8 * 2; ++s) {
+        EXPECT_EQ(l.headers[s].blockId(), kInvalidBlock);
+        EXPECT_EQ(l.headers[s].leafLabel(), kInvalidLeaf);
+    }
     for (std::uint64_t b = 0; b < 8; ++b)
         EXPECT_EQ(l.free[b], 2u);
     const ArenaBackend::Lanes again = a->materialize(3);
-    EXPECT_EQ(again.ids, l.ids);
+    EXPECT_EQ(again.headers, l.headers);
     EXPECT_EQ(a->chunksMaterialized(), 1u);
     EXPECT_TRUE(a->materialized(3));
     EXPECT_FALSE(a->materialized(2));
@@ -118,12 +120,13 @@ TEST(Arena, MmapAnonymousRoundTrip)
     EXPECT_STREQ(a->name(), "mmap");
     EXPECT_EQ(a->chunksMaterialized(), 0u);
     const ArenaBackend::Lanes l = a->materialize(5);
-    ASSERT_NE(l.ids, nullptr);
-    EXPECT_EQ(l.ids[7], kInvalidBlock);
-    l.ids[7] = BlockId{99};
+    ASSERT_NE(l.headers, nullptr);
+    EXPECT_TRUE(l.headers[7].isDummy());
+    l.headers[7] = SlotHeader{BlockId{99}, Leaf{5}};
     l.data[7] = 1234;
     const ArenaBackend::View v = a->view(5);
-    EXPECT_EQ(v.ids[7], BlockId{99});
+    EXPECT_EQ(v.headers[7].blockId(), BlockId{99});
+    EXPECT_EQ(v.headers[7].leafLabel(), Leaf{5});
     EXPECT_EQ(v.data[7], 1234u);
     EXPECT_EQ(a->bytesResident(), a->chunkBytes());
 }
@@ -136,9 +139,9 @@ TEST(Arena, MmapFileBackedRoundTrip)
         o.mmapPath = path;
         auto a = ArenaBackend::make(o, 128, 3);
         const ArenaBackend::Lanes l = a->materialize(2);
-        l.ids[0] = BlockId{42};
+        l.headers[0] = SlotHeader{BlockId{42}, Leaf{3}};
         l.data[0] = 4242;
-        EXPECT_EQ(a->view(2).ids[0], BlockId{42});
+        EXPECT_EQ(a->view(2).headers[0].blockId(), BlockId{42});
     }
     // The mapping is MAP_SHARED: the writes reached the file.
     std::FILE *f = std::fopen(path.c_str(), "rb");
@@ -171,7 +174,7 @@ TEST(Arena, MmapHugePageKnobIsAccepted)
     o.hugePages = true;
     auto a = ArenaBackend::make(o, 128, 3);
     const ArenaBackend::Lanes l = a->materialize(0);
-    ASSERT_NE(l.ids, nullptr);
+    ASSERT_NE(l.headers, nullptr);
     EXPECT_EQ(l.free[0], 3u);
 }
 

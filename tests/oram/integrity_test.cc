@@ -58,7 +58,8 @@ TEST(Integrity, DetectsLostBlock)
     const SlotLoc loc = findSlot(u, 5_id);
     ASSERT_TRUE(loc.found);
     // Drop the block behind the bookkeeping's back (raw corruption).
-    u.engine().tree().bucket(TreeIdx{loc.node}).rawId(loc.i) = kInvalidBlock;
+    u.engine().tree().bucket(TreeIdx{loc.node}).rawHeader(loc.i) =
+        SlotHeader{};
     const auto rep = checkIntegrity(u);
     EXPECT_FALSE(rep.ok);
     bool found = false;
@@ -98,6 +99,29 @@ TEST(Integrity, DetectsOffPathBlock)
                     u.engine().tree().numLeaves())});
     const auto rep = checkIntegrity(u);
     EXPECT_FALSE(rep.ok);
+}
+
+TEST(Integrity, DetectsStaleHeaderLeaf)
+{
+    UnifiedOram u(cfg());
+    u.initialize();
+    // readPath trusts the leaf in the slot header, so the checker must
+    // catch a header that disagrees with the position map even when
+    // the block itself sits on its mapped path.
+    const BlockId victim{11};
+    const SlotLoc loc = findSlot(u, victim);
+    ASSERT_TRUE(loc.found);
+    BucketRef b = u.engine().tree().bucket(TreeIdx{loc.node});
+    ASSERT_EQ(b.leaf(loc.i), u.posMap().leafOf(victim));
+    ASSERT_TRUE(checkIntegrity(u).ok);
+    SlotHeader &h = b.rawHeader(loc.i);
+    h.leaf = (h.leaf + 1) %
+             static_cast<std::uint32_t>(u.engine().tree().numLeaves());
+    const auto rep = checkIntegrity(u);
+    EXPECT_FALSE(rep.ok);
+    ASSERT_EQ(rep.violations.size(), 1u);
+    EXPECT_NE(rep.violations[0].find("slot header leaf"),
+              std::string::npos);
 }
 
 TEST(Integrity, DetectsSuperBlockLeafMismatch)

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <list>
 
+#include "mem/arena.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -91,6 +92,21 @@ TEST(BlockSpace, OutOfRangePanics)
 {
     BlockSpace space(smallCfg());
     EXPECT_THROW(space.levelOf(BlockId{space.numTotalBlocks()}), SimPanic);
+}
+
+TEST(BlockSpace, IdSpaceMustFitTheSlotHeader)
+{
+    // The tree's slot header stores a 32-bit id with all-ones as the
+    // dummy marker, so data + pos-map blocks must stay below 2^32 - 1.
+    // BlockSpace is pure arithmetic: neither size allocates a table.
+    OramConfig c = smallCfg();
+    c.numDataBlocks = 1ULL << 31; // + ~2^31/31 pos-map blocks: fits
+    const BlockSpace fits(c);
+    EXPECT_LT(fits.numTotalBlocks(), SlotHeader::kMaxBlocks);
+    c.numDataBlocks = 1ULL << 32;
+    EXPECT_THROW(BlockSpace{c}, SimFatal);
+    c.numDataBlocks = SlotHeader::kMaxBlocks - 1; // pos-map blocks tip it
+    EXPECT_THROW(BlockSpace{c}, SimFatal);
 }
 
 TEST(PositionMap, EntryRoundTrip)
@@ -201,7 +217,7 @@ TEST(PositionMap, SetLeafForwardsToAttachedLeafCache)
     // setLeaf must refresh that stash's cached copy for resident
     // blocks and leave non-resident blocks alone.
     PositionMap pm(100, Leaf{64});
-    Stash stash(8);
+    Stash stash(8, 16);
     stash.insert(7_id, 0, 1_leaf);
     pm.attachLeafCache(&stash);
     pm.setLeaf(7_id, 42_leaf);

@@ -21,28 +21,28 @@ TEST(Bucket, OccupancyAndFreeSlots)
     BucketRef b = t.bucket(0_node);
     EXPECT_EQ(b.occupancy(), 0u);
     EXPECT_EQ(b.freeSlots(), 3u);
-    EXPECT_TRUE(b.tryPlace(7_id, 70));
+    EXPECT_TRUE(b.tryPlace(7_id, 0_leaf, 70));
     EXPECT_EQ(b.occupancy(), 1u);
-    EXPECT_TRUE(b.tryPlace(8_id, 0));
-    EXPECT_TRUE(b.tryPlace(9_id, 0));
+    EXPECT_TRUE(b.tryPlace(8_id, 0_leaf, 0));
+    EXPECT_TRUE(b.tryPlace(9_id, 0_leaf, 0));
     EXPECT_EQ(b.occupancy(), 3u);
     EXPECT_EQ(b.freeSlots(), 0u);
-    EXPECT_FALSE(b.tryPlace(10_id, 0));
+    EXPECT_FALSE(b.tryPlace(10_id, 0_leaf, 0));
 }
 
 TEST(Bucket, PlacementFillsFirstDummySlot)
 {
     BinaryTree t(1, 3);
     BucketRef b = t.bucket(0_node);
-    b.tryPlace(1_id, 10);
-    b.tryPlace(2_id, 20);
-    b.tryPlace(3_id, 30);
+    b.tryPlace(1_id, 0_leaf, 10);
+    b.tryPlace(2_id, 0_leaf, 20);
+    b.tryPlace(3_id, 0_leaf, 30);
     EXPECT_EQ(b.id(0), 1_id);
     b.clearSlot(1);
     EXPECT_TRUE(b.isDummy(1));
     EXPECT_EQ(b.occupancy(), 2u);
     // Reuse reclaims the hole, not a new slot.
-    EXPECT_TRUE(b.tryPlace(4_id, 40));
+    EXPECT_TRUE(b.tryPlace(4_id, 0_leaf, 40));
     EXPECT_EQ(b.id(1), 4_id);
     EXPECT_EQ(b.data(1), 40u);
 }
@@ -51,7 +51,7 @@ TEST(Bucket, ClearSlotIsIdempotent)
 {
     BinaryTree t(1, 2);
     BucketRef b = t.bucket(0_node);
-    b.tryPlace(5_id, 0);
+    b.tryPlace(5_id, 0_leaf, 0);
     b.clearSlot(0);
     b.clearSlot(0); // clearing a dummy must not inflate the free count
     EXPECT_EQ(b.freeSlots(), 2u);
@@ -62,12 +62,12 @@ TEST(Bucket, OccupancyScanMatchesCountThenDetectsRawCorruption)
 {
     BinaryTree t(1, 4);
     BucketRef b = t.bucket(1_node);
-    b.tryPlace(1_id, 0);
-    b.tryPlace(2_id, 0);
+    b.tryPlace(1_id, 0_leaf, 0);
+    b.tryPlace(2_id, 0_leaf, 0);
     EXPECT_EQ(b.occupancyScan(), b.occupancy());
     // Corrupt a slot behind the bookkeeping's back: the O(1) count is
     // now stale and only the checked scan sees the truth.
-    b.rawId(0) = kInvalidBlock;
+    b.rawHeader(0) = SlotHeader{};
     EXPECT_EQ(b.occupancy(), 2u);
     EXPECT_EQ(b.occupancyScan(), 1u);
 }
@@ -75,16 +75,20 @@ TEST(Bucket, OccupancyScanMatchesCountThenDetectsRawCorruption)
 TEST(Tree, ArenaLayoutIsBucketMajor)
 {
     BinaryTree t(2, 3);
-    t.bucket(4_node).tryPlace(42_id, 9);
+    t.bucket(4_node).tryPlace(42_id, 1_leaf, 9); // node 4 is on path 1
     // Bucket b slot i lives at lane offset (b mod chunk)*Z+i of its
     // chunk; node 4 fits inside the default first chunk, so the raw
-    // lane view and the typed accessors must agree.
+    // lane view and the typed accessors must agree. The slot header
+    // carries the id and the leaf in one 8-byte word.
     const ArenaBackend::View v = t.arena().view(0);
-    ASSERT_NE(v.ids, nullptr);
-    EXPECT_EQ(v.ids[4 * 3 + 0], 42_id);
+    ASSERT_NE(v.headers, nullptr);
+    EXPECT_EQ(v.headers[4 * 3 + 0].blockId(), 42_id);
+    EXPECT_EQ(v.headers[4 * 3 + 0].leafLabel(), 1_leaf);
     EXPECT_EQ(v.data[4 * 3 + 0], 9u);
     EXPECT_EQ(t.slotId(4_node, 0), 42_id);
+    EXPECT_EQ(t.slotLeaf(4_node, 0), 1_leaf);
     EXPECT_EQ(t.slotData(4_node, 0), 9u);
+    EXPECT_EQ(t.slotLeaf(4_node, 1), kInvalidLeaf); // dummy slot
 }
 
 TEST(Tree, GeometryCounts)
@@ -178,8 +182,8 @@ TEST(Tree, CountRealBlocks)
 {
     BinaryTree t(2, 2);
     EXPECT_EQ(t.countRealBlocks(), 0u);
-    t.tryPlace(0_node, 1_id, 0);
-    t.tryPlace(4_node, 2_id, 0);
+    t.tryPlace(0_node, 1_id, 0_leaf, 0);
+    t.tryPlace(4_node, 2_id, 0_leaf, 0);
     EXPECT_EQ(t.countRealBlocks(), 2u);
 }
 
@@ -216,8 +220,8 @@ TEST(SparseTree, ImplicitChunksReadAllDummyWithoutMaterializing)
 TEST(SparseTree, WritesMaterializeOnlyTouchedChunks)
 {
     BinaryTree t(6, 3, sparseOpts(4));
-    EXPECT_TRUE(t.tryPlace(0_node, 1_id, 11));   // chunk 0
-    EXPECT_TRUE(t.tryPlace(100_node, 2_id, 22)); // chunk 25
+    EXPECT_TRUE(t.tryPlace(0_node, 1_id, 0_leaf, 11));   // chunk 0
+    EXPECT_TRUE(t.tryPlace(100_node, 2_id, 0_leaf, 22)); // chunk 25
     EXPECT_EQ(t.arena().chunksMaterialized(), 2u);
     EXPECT_EQ(t.arena().bytesResident(), 2 * t.arena().chunkBytes());
     EXPECT_EQ(t.slotId(0_node, 0), 1_id);
@@ -237,10 +241,10 @@ TEST(SparseTree, WritesMaterializeOnlyTouchedChunks)
 TEST(SparseTree, OccupancyScanAfterRawCorruptionInFreshChunk)
 {
     BinaryTree t(6, 4, sparseOpts(4));
-    // rawId on an implicit chunk is a write: it must materialize the
-    // chunk as all-dummy first, then hand out the reference.
+    // rawHeader on an implicit chunk is a write: it must materialize
+    // the chunk as all-dummy first, then hand out the reference.
     BucketRef b = t.bucket(77_node);
-    b.rawId(2) = 9_id;
+    b.rawHeader(2) = SlotHeader{9_id, 0_leaf};
     EXPECT_EQ(t.arena().chunksMaterialized(), 1u);
     // The raw write bypassed the free count: the O(1) occupancy is
     // stale (still all-free) and only the checked scan sees the
@@ -255,7 +259,7 @@ TEST(SparseTree, OccupancyScanAfterRawCorruptionInFreshChunk)
     }
     // A neighbouring bucket of the same fresh chunk is untouched.
     EXPECT_EQ(t.bucket(78_node).occupancyScan(), 0u);
-    b.rawId(2) = kInvalidBlock;
+    b.rawHeader(2) = SlotHeader{};
     EXPECT_EQ(b.occupancyScan(), 0u);
 }
 
@@ -278,7 +282,8 @@ TEST(SparseTree, BackendsAreFunctionallyIdentical)
         trees.emplace_back(5, 3, o);
     for (BinaryTree &t : trees) {
         for (std::uint64_t n = 0; n < t.numBuckets(); n += 7)
-            t.tryPlace(TreeIdx{n}, BlockId{n}, n * 3);
+            t.tryPlace(TreeIdx{n}, BlockId{n},
+                       Leaf{static_cast<std::uint32_t>(n % 32)}, n * 3);
         t.clearSlot(TreeIdx{7}, 0);
     }
     const BinaryTree &ref = trees.front();
@@ -289,6 +294,7 @@ TEST(SparseTree, BackendsAreFunctionallyIdentical)
             EXPECT_EQ(t.occupancy(n), ref.occupancy(n));
             for (std::uint32_t i = 0; i < ref.z(); ++i) {
                 EXPECT_EQ(t.slotId(n, i), ref.slotId(n, i));
+                EXPECT_EQ(t.slotLeaf(n, i), ref.slotLeaf(n, i));
                 if (t.slotId(n, i) != kInvalidBlock) {
                     EXPECT_EQ(t.slotData(n, i), ref.slotData(n, i));
                 }

@@ -10,6 +10,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/logging.hh"
+
 namespace proram::util
 {
 namespace
@@ -91,10 +93,15 @@ TEST(ThreadPool, ZeroThreadsClampsToOne)
 
 TEST(ThreadPool, DefaultThreadCountHonorsEnv)
 {
+    // Only the count is parsed here; no pool is ever built from an
+    // out-of-range value.
     ::setenv("PRORAM_BENCH_THREADS", "3", 1);
     EXPECT_EQ(ThreadPool::defaultThreadCount(), 3u);
-    ::setenv("PRORAM_BENCH_THREADS", "not-a-number", 1);
-    EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
+    for (const char *bad : {"not-a-number", "0", "-2", "257", "4 "}) {
+        ::setenv("PRORAM_BENCH_THREADS", bad, 1);
+        EXPECT_THROW(ThreadPool::defaultThreadCount(), SimFatal)
+            << "'" << bad << "'";
+    }
     ::unsetenv("PRORAM_BENCH_THREADS");
     EXPECT_GE(ThreadPool::defaultThreadCount(), 1u);
 }
