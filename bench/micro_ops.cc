@@ -15,7 +15,6 @@
 
 #include "core/oram_controller.hh"
 #include "obs/trace.hh"
-#include "oram/evict_kernel.hh"
 #include "sim/system.hh"
 #include "sim/system_config.hh"
 #include "trace/benchmarks.hh"
@@ -261,41 +260,6 @@ BM_LargeTreeDrive(benchmark::State &state)
         static_cast<double>(arena.bytesResident());
 }
 BENCHMARK(BM_LargeTreeDrive);
-
-void
-BM_EvictClassify(benchmark::State &state)
-{
-    // The vectorized heart of writePath: classify every stash slot's
-    // eviction level against one path, per kernel variant. 512 slots
-    // is a heavily loaded stash (capacity default is 200).
-    const auto kernel = static_cast<evict::Kernel>(state.range(0));
-    if (!evict::kernelAvailable(kernel)) {
-        state.SkipWithError("kernel unavailable on this host");
-        return;
-    }
-    constexpr std::size_t kSlots = 512;
-    constexpr std::uint32_t kLevels = 14;
-    std::vector<Leaf> leaves(kSlots);
-    std::vector<std::uint32_t> out(kSlots);
-    Rng rng(6);
-    for (Leaf &l : leaves)
-        l = Leaf{static_cast<std::uint32_t>(rng.below(1ULL << kLevels))};
-    Leaf path_leaf{0};
-    for (auto _ : state) {
-        evict::classifyLevelsWith(kernel, leaves.data(), kSlots,
-                                  path_leaf, kLevels, out.data());
-        benchmark::DoNotOptimize(out.data());
-        benchmark::ClobberMemory();
-        path_leaf = Leaf{(path_leaf.value() + 1) & ((1u << kLevels) - 1)};
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations() * kSlots));
-    state.SetLabel(evict::kernelName(kernel));
-}
-BENCHMARK(BM_EvictClassify)
-    ->Arg(static_cast<int>(evict::Kernel::Scalar))
-    ->Arg(static_cast<int>(evict::Kernel::Swar))
-    ->Arg(static_cast<int>(evict::Kernel::Avx2));
 
 void
 BM_BatchedDrive(benchmark::State &state)

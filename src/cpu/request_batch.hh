@@ -34,10 +34,6 @@ struct RequestBatch
     std::size_t size = 0;
 };
 
-/** Batch size from $PRORAM_BATCH (checked: an integer in
- *  1..kCapacity, else fatal); kDefaultSize when unset. */
-std::size_t batchSizeFromEnv();
-
 } // namespace proram
 
 #endif // PRORAM_CPU_REQUEST_BATCH_HH

@@ -4,26 +4,17 @@
 
 #include "obs/trace.hh"
 #include "util/bits.hh"
-#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace proram
 {
-
-std::size_t
-batchSizeFromEnv()
-{
-    return static_cast<std::size_t>(envKnob("PRORAM_BATCH",
-                                            RequestBatch::kDefaultSize,
-                                            1, RequestBatch::kCapacity));
-}
 
 TraceCpu::TraceCpu(CacheHierarchy &hierarchy, MemBackend &backend,
                    std::uint32_t line_bytes, std::size_t batch_size)
     : hierarchy_(hierarchy), backend_(backend),
       lineShift_(log2Floor(line_bytes)),
       batchSize_(batch_size == 0
-                     ? batchSizeFromEnv()
+                     ? RequestBatch::kDefaultSize
                      : std::min(batch_size, RequestBatch::kCapacity))
 {
     fatal_if(!isPowerOf2(line_bytes), "line size must be a power of two");

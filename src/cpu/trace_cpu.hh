@@ -40,7 +40,8 @@ class TraceCpu
 {
   public:
     /** @param batch_size records decoded per fillBatch call, clamped
-     *  to [1, RequestBatch::kCapacity]; 0 = $PRORAM_BATCH / default. */
+     *  to [1, RequestBatch::kCapacity]; 0 = the default,
+     *  RequestBatch::kDefaultSize. */
     TraceCpu(CacheHierarchy &hierarchy, MemBackend &backend,
              std::uint32_t line_bytes, std::size_t batch_size = 0);
 

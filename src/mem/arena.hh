@@ -11,18 +11,14 @@
  * moving a block into the stash needs no position-map lookup. A chunk
  * that has never been written does not exist: it reads as all-dummy
  * (every header all-ones, occupancy 0) without touching any memory,
- * so a 2^26-block tree costs only its touched fraction. Three
- * backends provide the storage:
+ * so a 2^26-block tree costs only its touched fraction. The two
+ * backends differ only in where a chunk's bytes come from:
  *
- *  - Dense: every chunk is materialized at construction into three
- *    contiguous per-lane allocations (the pre-arena layout; the
- *    default, keeping fixed-seed goldens bit-identical and the hot
- *    scans globally contiguous).
- *  - Sparse: chunks are heap-allocated on first write and recorded
- *    in the chunk directory.
- *  - Mmap: one large MAP_NORESERVE mapping (anonymous or file-backed)
- *    reserved up front; materialization touches only the chunk's
- *    header and free-count pages. Linux-only; optionally MADV_HUGEPAGE.
+ *  - Dense: one slab holding every chunk back to back, allocated and
+ *    materialized at construction (the pre-arena contiguous layout;
+ *    the default, keeping the hot scans globally contiguous).
+ *  - Sparse: each chunk is its own new[] allocation, made on the
+ *    chunk's first write, so untouched subtrees cost no memory.
  *
  * Each tree owns its arena and is driven by one thread (host
  * parallelism lives at the experiment-grid level, where every cell
@@ -34,9 +30,8 @@
  * Path ORAM already publishes (DESIGN.md Sec. 12).
  *
  * Selection: OramConfig::arena, or the PRORAM_ARENA /
- * PRORAM_ARENA_CHUNK / PRORAM_ARENA_FILE / PRORAM_ARENA_HUGE
- * environment variables when the config leaves the default
- * (EXPERIMENTS.md).
+ * PRORAM_ARENA_CHUNK environment variables when the config leaves
+ * the default (EXPERIMENTS.md).
  */
 
 #ifndef PRORAM_MEM_ARENA_HH
@@ -46,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "util/types.hh"
 
@@ -98,10 +94,9 @@ enum class ArenaKind : std::uint8_t
     Default, ///< resolve from $PRORAM_ARENA, falling back to Dense
     Dense,   ///< eager contiguous lanes (pre-arena layout)
     Sparse,  ///< chunks heap-allocated on first write
-    Mmap,    ///< reserved mapping, materialized per chunk
 };
 
-/** Printable backend name ("dense" / "sparse" / "mmap"). */
+/** Printable backend name ("dense" / "sparse"). */
 const char *arenaKindName(ArenaKind kind);
 
 /** Parse a PRORAM_ARENA value; throws SimFatal on unknown names. */
@@ -116,13 +111,6 @@ struct ArenaOptions
      * the built-in default (kDefaultChunkBuckets).
      */
     std::uint32_t chunkBuckets = 0;
-    /**
-     * Mmap backend only: backing file path. Empty = $PRORAM_ARENA_FILE
-     * or an anonymous mapping.
-     */
-    std::string mmapPath;
-    /** Mmap backend only: advise transparent huge pages. */
-    bool hugePages = false;
 
     /**
      * The options a tree will actually run with: every defaulted
@@ -130,15 +118,14 @@ struct ArenaOptions
      */
     ArenaOptions resolved() const;
 
-    /** Throws SimFatal on invalid combinations (bad chunk size). */
+    /** Throws SimFatal on a bad chunk size (not a power of two). */
     void validate() const;
 };
 
 /**
- * Chunked slot-arena storage shared by all backends: the chunk
- * directory, the all-dummy fill and the materialization counters.
- * Derived classes only provide raw lane storage for one chunk
- * (provideChunk) and a name.
+ * Chunked slot-arena storage: the chunk directory, the all-dummy fill
+ * and the materialization counters, over either backend's chunk bytes
+ * (file comment).
  */
 class ArenaBackend
 {
@@ -153,7 +140,10 @@ class ArenaBackend
     make(const ArenaOptions &opts, std::uint64_t num_buckets,
          std::uint32_t z);
 
-    virtual ~ArenaBackend();
+    /** @p kind is Dense or Sparse; @p chunk_buckets a power of two. */
+    ArenaBackend(ArenaKind kind, std::uint64_t num_buckets,
+                 std::uint32_t z, std::uint32_t chunk_buckets);
+    ~ArenaBackend();
 
     ArenaBackend(const ArenaBackend &) = delete;
     ArenaBackend &operator=(const ArenaBackend &) = delete;
@@ -186,7 +176,8 @@ class ArenaBackend
     std::uint64_t chunkBytes() const { return chunkBytes_; }
     /** @} */
 
-    virtual const char *name() const = 0;
+    /** "dense" or "sparse". */
+    const char *name() const { return slab_ ? "dense" : "sparse"; }
 
     /**
      * Read access to chunk @p chunk. Null pointers mean the chunk is
@@ -234,13 +225,13 @@ class ArenaBackend
     }
     /** @} */
 
-  protected:
-    ArenaBackend(std::uint64_t num_buckets, std::uint32_t z,
-                 std::uint32_t chunk_buckets);
+  private:
+    /** Raw (uninitialized) bytes for chunk @p chunk: a slice of the
+     *  dense slab, or a fresh sparse allocation. Called once per
+     *  chunk. */
+    std::byte *chunkStorage(std::uint64_t chunk);
 
-    /** Raw (uninitialized) lane storage for chunk @p chunk. Called
-     *  once per chunk. */
-    virtual Lanes provideChunk(std::uint64_t chunk) = 0;
+    Lanes materializeChunk(std::uint64_t chunk, bool trace);
 
     /** Dense construction path: materialize every chunk without
      *  per-chunk trace events. */
@@ -252,9 +243,6 @@ class ArenaBackend
         return static_cast<std::uint64_t>(chunkBuckets_) * z_;
     }
 
-  private:
-    Lanes materializeChunk(std::uint64_t chunk, bool trace);
-
     std::uint64_t numBuckets_;
     std::uint32_t z_;
     std::uint32_t chunkBuckets_;
@@ -264,6 +252,10 @@ class ArenaBackend
     /** The chunk directory: all-null lanes while a chunk is implicit. */
     std::unique_ptr<Lanes[]> chunks_;
     std::uint64_t chunksMaterialized_ = 0;
+    /** Dense: every chunk's bytes, chunk-major; null when sparse. */
+    std::unique_ptr<std::byte[]> slab_;
+    /** Sparse: one allocation per materialized chunk. */
+    std::vector<std::unique_ptr<std::byte[]>> sparseChunks_;
 };
 
 } // namespace proram

@@ -1,7 +1,6 @@
 #include "oram/scheme.hh"
 
 #include "obs/trace.hh"
-#include "oram/evict_kernel.hh"
 #include "oram/path_oram.hh"
 #include "oram/ring_oram.hh"
 #include "util/annotations.hh"
@@ -51,8 +50,6 @@ OramScheme::randomLeaf()
 void
 OramScheme::reserveScratch(std::size_t slots)
 {
-    if (levelScratch_.size() < slots)
-        levelScratch_.resize(slots);
     if (sortedScratch_.size() < slots)
         sortedScratch_.resize(slots);
     if (poolScratch_.capacity() < slots)
@@ -62,47 +59,48 @@ OramScheme::reserveScratch(std::size_t slots)
 PRORAM_OBLIVIOUS PRORAM_HOT void
 OramScheme::evictOnto(Leaf leaf)
 {
-    // Counting-sort eviction: classify every stash slot's deepest
-    // eligible level in one vectorized sweep over the contiguous leaf
-    // lane, histogram the live slots per level, then stable-scatter
-    // the slot numbers into one flat array grouped deepest level
-    // first. Insertion order within a level is preserved, so placement
-    // is a deterministic function of stash insertion order. Placed
-    // blocks are released by slot (no lookup by id) and the stash is
-    // compacted once, after the pass, so slot numbers stay valid
-    // throughout it.
+    // Counting-sort eviction: classify every live stash slot's deepest
+    // eligible level (BinaryTree::commonLevel, the Path ORAM greedy
+    // rule) straight from the contiguous leaf lane, histogram the
+    // slots per level, then stable-scatter the slot numbers into one
+    // flat array grouped deepest level first. The scatter pass
+    // recomputes each level (one xor and bit_width) instead of keeping
+    // a per-slot level lane. Insertion order within a level is
+    // preserved, so placement is a deterministic function of stash
+    // insertion order. Placed blocks are released by slot (no lookup
+    // by id) and the stash is compacted once, after the pass, so slot
+    // numbers stay valid throughout it.
     const std::uint32_t levels = tree_.levels();
     const std::size_t slots = stash_.slotCount();
     reserveScratch(slots);
-    {
-        PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
-        evict::classifyLevels(stash_.leafLane(), slots, leaf, levels,
-                              levelScratch_.data());
-    }
 
     const BlockId *ids = stash_.idLane();
     const Leaf *leaves = stash_.leafLane();
     const std::uint64_t *payloads = stash_.dataLane();
-    for (std::uint32_t l = 0; l <= levels; ++l)
-        histScratch_[l] = 0;
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (ids[i] == kInvalidBlock)
-            continue;
-        panic_if(leaves[i] == kInvalidLeaf, "stash block ", ids[i],
-                 " has no leaf");
-        ++histScratch_[levelScratch_[i]];
-    }
-    std::uint32_t offset = 0;
-    for (std::uint32_t l = levels + 1; l-- > 0;) {
-        levelStartScratch_[l] = offset;
-        levelCursorScratch_[l] = offset;
-        offset += histScratch_[l];
-    }
-    for (std::size_t i = 0; i < slots; ++i) {
-        if (ids[i] == kInvalidBlock)
-            continue;
-        sortedScratch_[levelCursorScratch_[levelScratch_[i]]++] =
-            static_cast<std::uint32_t>(i);
+    {
+        PRORAM_TRACE_SCOPE_ARG("evict", "classify", "slots", slots);
+        for (std::uint32_t l = 0; l <= levels; ++l)
+            histScratch_[l] = 0;
+        for (std::size_t i = 0; i < slots; ++i) {
+            if (ids[i] == kInvalidBlock)
+                continue;
+            panic_if(leaves[i] == kInvalidLeaf, "stash block ", ids[i],
+                     " has no leaf");
+            ++histScratch_[tree_.commonLevel(leaves[i], leaf).value()];
+        }
+        std::uint32_t offset = 0;
+        for (std::uint32_t l = levels + 1; l-- > 0;) {
+            levelStartScratch_[l] = offset;
+            levelCursorScratch_[l] = offset;
+            offset += histScratch_[l];
+        }
+        for (std::size_t i = 0; i < slots; ++i) {
+            if (ids[i] == kInvalidBlock)
+                continue;
+            const Level l = tree_.commonLevel(leaves[i], leaf);
+            sortedScratch_[levelCursorScratch_[l.value()]++] =
+                static_cast<std::uint32_t>(i);
+        }
     }
 
     // Fill buckets greedily from the leaf upward; unplaced deeper

@@ -145,10 +145,11 @@ class OramScheme
     /**
      * Greedy eviction of the stash onto path @p leaf (paper Sec. 2.2
      * step 5): every block lands in the deepest bucket it shares with
-     * @p leaf that still has room, buckets filled leaf upward; blocks
-     * that fit nowhere stay in the stash. Each placed block's slot
-     * header takes the stash's cached leaf. Path ORAM evicts onto the
-     * just-read path, Ring ORAM onto its scheduled path.
+     * @p leaf (BinaryTree::commonLevel of its cached leaf) that still
+     * has room, buckets filled leaf upward; blocks that fit nowhere
+     * stay in the stash. Each placed block's slot header takes the
+     * stash's cached leaf. Path ORAM evicts onto the just-read path,
+     * Ring ORAM onto its scheduled path.
      */
     void evictOnto(Leaf leaf);
 
@@ -167,8 +168,6 @@ class OramScheme
 
     // evictOnto scratch, pre-sized from tree geometry at construction
     // (see reserveScratch) so even the first paths allocate nothing.
-    /** Per-slot eviction level, filled by evict::classifyLevels. */
-    std::vector<std::uint32_t> levelScratch_;
     /** Counting sort: per-level population / start offset / cursor. */
     std::vector<std::uint32_t> histScratch_;
     std::vector<std::uint32_t> levelStartScratch_;

@@ -16,9 +16,9 @@
  * releases it in place (the slot turns dead, survivors do not move)
  * and compacts once at the end of the pass, so iteration order stays
  * insertion order by construction - the determinism the replay tests
- * rely on. The leaf lane is what makes the eviction scan
- * vectorizable: evict::classifyLevels streams one contiguous Leaf
- * array with no per-entry struct stride. Cached leaves mirror the
+ * rely on. Eviction classifies each slot straight from the
+ * contiguous leaf lane (BinaryTree::commonLevel, one bit_width per
+ * block) with no per-entry struct stride. Cached leaves mirror the
  * position map (kept coherent by PositionMap's setLeaf hook) and are
  * what eviction writes into the tree's slot headers, so neither half
  * of an access does a position-map lookup per block.

@@ -1,6 +1,5 @@
 #include "oram/tree.hh"
 
-#include <bit>
 #include <cassert>
 
 #include "util/logging.hh"
@@ -102,17 +101,6 @@ BinaryTree::rawSlotData(TreeIdx node, std::uint32_t i)
     const std::uint64_t n = node.value();
     const ArenaBackend::Lanes l = arena_->materialize(n >> chunkShift_);
     return l.data[(n & chunkMask_) * z_ + i];
-}
-
-Level
-BinaryTree::commonLevel(Leaf a, Leaf b) const
-{
-    // Paths diverge at the highest differing leaf bit: the shared
-    // depth is levels_ minus the XOR's bit width (equal labels share
-    // the whole path).
-    const std::uint32_t diff = a ^ b;
-    return Level{levels_ -
-                 static_cast<std::uint32_t>(std::bit_width(diff))};
 }
 
 std::uint64_t

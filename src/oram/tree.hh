@@ -35,6 +35,7 @@
 #ifndef PRORAM_ORAM_TREE_HH
 #define PRORAM_ORAM_TREE_HH
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 
@@ -201,9 +202,16 @@ class BinaryTree
 
     /**
      * Deepest level at which paths @p a and @p b share a bucket
-     * (their lowest common ancestor's level).
+     * (their lowest common ancestor's level). Paths diverge at the
+     * highest differing leaf bit: the shared depth is levels() minus
+     * the XOR's bit width (equal labels share the whole path). Inline
+     * because eviction classifies every stash block with it.
      */
-    Level commonLevel(Leaf a, Leaf b) const;
+    Level commonLevel(Leaf a, Leaf b) const
+    {
+        return Level{levels_ - static_cast<std::uint32_t>(
+                                   std::bit_width(a ^ b))};
+    }
 
     /** Total real blocks stored in the tree, by scanning the
      *  materialized chunks (O(resident slots); tests only - reflects

@@ -8,6 +8,7 @@
 
 #include "trace/trace_file.hh"
 
+#include "util/env.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
 
@@ -162,11 +163,7 @@ mean(const std::vector<double> &values)
 double
 benchScaleFromEnv()
 {
-    const char *env = std::getenv("PRORAM_BENCH_SCALE");
-    if (!env)
-        return 1.0;
-    const double v = std::atof(env);
-    return v > 0.0 ? v : 1.0;
+    return envFractionKnob("PRORAM_BENCH_SCALE", 1.0);
 }
 
 } // namespace proram

@@ -107,7 +107,8 @@ class Experiment
 /** Geometric-ish aggregate the paper reports: arithmetic mean. */
 double mean(const std::vector<double> &values);
 
-/** Trace scale from $PRORAM_BENCH_SCALE, default 1.0. */
+/** Trace scale from $PRORAM_BENCH_SCALE (a decimal in (0, 1], else
+ *  fatal), default 1.0. */
 double benchScaleFromEnv();
 
 } // namespace proram

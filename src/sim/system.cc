@@ -1,9 +1,8 @@
 #include "sim/system.hh"
 
-#include <cstdlib>
-
 #include "obs/metrics.hh"
 #include "util/bits.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace proram
@@ -15,8 +14,7 @@ namespace
 bool
 auditEnvEnabled()
 {
-    const char *env = std::getenv("PRORAM_AUDIT");
-    return env && env[0] != '\0' && env[0] != '0';
+    return envKnob("PRORAM_AUDIT", 0, 0, 1) == 1;
 }
 
 } // namespace

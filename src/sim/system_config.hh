@@ -44,8 +44,8 @@ struct SystemConfig
 
     /**
      * Trace records the core decodes per batch (the drive-loop
-     * pipeline; results are bit-identical for every size). 0 = take
-     * $PRORAM_BATCH / the built-in default. Capped at
+     * pipeline; results are bit-identical for every size). 0 = the
+     * built-in default, RequestBatch::kDefaultSize. Capped at
      * RequestBatch::kCapacity.
      */
     std::uint32_t cpuBatch = 0;

@@ -10,12 +10,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <vector>
 
-#include "cpu/request_batch.hh"
 #include "sim/experiment.hh"
 #include "trace/benchmarks.hh"
-#include "util/logging.hh"
 
 namespace proram
 {
@@ -87,21 +85,6 @@ TEST(BatchedDrive, ReplayFastPathMatchesLiveGenerator)
     const SimResult replay =
         exp.runReplay(MemScheme::OramDynamic, records);
     expectSameResult(live, replay, "replay vs live");
-}
-
-TEST(BatchedDrive, BatchSizeFromEnvIsChecked)
-{
-    ::setenv("PRORAM_BATCH", "17", 1);
-    EXPECT_EQ(batchSizeFromEnv(), 17u);
-    ::setenv("PRORAM_BATCH", "256", 1);
-    EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kCapacity);
-    // Out of range or garbage is fatal, never a silent default.
-    for (const char *bad : {"9999", "0", "-3", "abc", "64x", ""}) {
-        ::setenv("PRORAM_BATCH", bad, 1);
-        EXPECT_THROW(batchSizeFromEnv(), SimFatal) << "'" << bad << "'";
-    }
-    ::unsetenv("PRORAM_BATCH");
-    EXPECT_EQ(batchSizeFromEnv(), RequestBatch::kDefaultSize);
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "mem/arena.hh"
-#include "oram/evict_kernel.hh"
 #include "sim/experiment.hh"
 #include "sim/system_config.hh"
 #include "trace/benchmarks.hh"
@@ -147,54 +146,24 @@ TEST(GoldenStats, GoldensHoldUnderEveryArenaBackend)
     // The slot arena's storage backend is a memory-layout choice,
     // not a behavior change: lazily materialized chunks must read
     // exactly like the dense lanes they replace, so the full golden
-    // grid re-runs bit-identically on every backend. Small chunks
-    // on purpose - plenty of chunk-boundary and first-touch traffic.
+    // grid (run dense above) re-runs bit-identically on the sparse
+    // backend. Small chunks on purpose - plenty of chunk-boundary and
+    // first-touch traffic.
     Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
-    std::vector<ArenaOptions> backends;
     ArenaOptions sparse;
     sparse.kind = ArenaKind::Sparse;
     sparse.chunkBuckets = 64;
-    backends.push_back(sparse);
-#if defined(__linux__)
-    ArenaOptions mm;
-    mm.kind = ArenaKind::Mmap;
-    mm.chunkBuckets = 128;
-    backends.push_back(mm);
-#endif
-    for (const ArenaOptions &arena : backends) {
-        for (const Golden &g : kGoldens) {
-            const SimResult r = exp.runWith(
-                g.scheme,
-                [&arena](SystemConfig &cfg) { cfg.oram.arena = arena; },
-                [&] {
-                    return makeGenerator(profileByName(g.profile), 0.02);
-                });
-            SCOPED_TRACE(std::string(arenaKindName(arena.kind)) + "/" +
-                         g.profile + "/" + r.scheme);
-            expectGolden(g, r);
-        }
-    }
-}
-
-TEST(GoldenStats, GoldensHoldUnderEveryEvictKernel)
-{
-    // The eviction-scan kernels must be interchangeable down to the
-    // last stat: re-run one golden cell with dispatch pinned to each
-    // variant the host can run.
-    Experiment exp(defaultSystemConfig(), /*trace_scale=*/0.02);
-    const Golden &g = kGoldens[1]; // cholesky / OramStatic
-    for (const evict::Kernel k :
-         {evict::Kernel::Scalar, evict::Kernel::Swar,
-          evict::Kernel::Avx2}) {
-        if (!evict::kernelAvailable(k))
-            continue;
-        evict::forceKernel(k);
-        const SimResult r =
-            exp.runBenchmark(g.scheme, profileByName(g.profile));
-        SCOPED_TRACE(std::string("kernel=") + evict::kernelName(k));
+    for (const Golden &g : kGoldens) {
+        const SimResult r = exp.runWith(
+            g.scheme,
+            [&sparse](SystemConfig &cfg) { cfg.oram.arena = sparse; },
+            [&] {
+                return makeGenerator(profileByName(g.profile), 0.02);
+            });
+        SCOPED_TRACE(std::string("sparse/") + g.profile + "/" +
+                     r.scheme);
         expectGolden(g, r);
     }
-    evict::forceKernel(evict::Kernel::Auto);
 }
 
 } // namespace

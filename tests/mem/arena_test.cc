@@ -4,9 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <string>
 
 #include "util/logging.hh"
 
@@ -32,8 +30,6 @@ TEST(ArenaOptions, ResolvedAppliesDefaults)
     const ArenaOptions r = ArenaOptions{}.resolved();
     EXPECT_EQ(r.kind, ArenaKind::Dense);
     EXPECT_EQ(r.chunkBuckets, ArenaBackend::kDefaultChunkBuckets);
-    EXPECT_TRUE(r.mmapPath.empty());
-    EXPECT_FALSE(r.hugePages);
 }
 
 TEST(ArenaOptions, EnvSelectsBackendAndChunk)
@@ -46,7 +42,7 @@ TEST(ArenaOptions, EnvSelectsBackendAndChunk)
     EXPECT_EQ(r.kind, ArenaKind::Sparse);
     EXPECT_EQ(r.chunkBuckets, 64u);
     // An explicit config wins over the environment.
-    ::setenv("PRORAM_ARENA", "mmap", 1);
+    ::setenv("PRORAM_ARENA", "dense", 1);
     const ArenaOptions e = opts(ArenaKind::Sparse, 16).resolved();
     ::unsetenv("PRORAM_ARENA");
     EXPECT_EQ(e.kind, ArenaKind::Sparse);
@@ -55,8 +51,10 @@ TEST(ArenaOptions, EnvSelectsBackendAndChunk)
 
 TEST(ArenaOptions, BadEnvValuesAreFatal)
 {
-    ::setenv("PRORAM_ARENA", "turbo", 1);
-    EXPECT_THROW(ArenaOptions{}.resolved(), SimFatal);
+    for (const char *bad : {"turbo", "mmap", ""}) {
+        ::setenv("PRORAM_ARENA", bad, 1);
+        EXPECT_THROW(ArenaOptions{}.resolved(), SimFatal) << bad;
+    }
     ::unsetenv("PRORAM_ARENA");
     ::setenv("PRORAM_ARENA_CHUNK", "zero", 1);
     EXPECT_THROW(ArenaOptions{}.resolved(), SimFatal);
@@ -111,74 +109,6 @@ TEST(Arena, MaterializeIsIdempotentAndAllDummy)
     EXPECT_TRUE(a->materialized(3));
     EXPECT_FALSE(a->materialized(2));
 }
-
-#if defined(__linux__)
-
-TEST(Arena, MmapAnonymousRoundTrip)
-{
-    auto a = ArenaBackend::make(opts(ArenaKind::Mmap, 8), 256, 3);
-    EXPECT_STREQ(a->name(), "mmap");
-    EXPECT_EQ(a->chunksMaterialized(), 0u);
-    const ArenaBackend::Lanes l = a->materialize(5);
-    ASSERT_NE(l.headers, nullptr);
-    EXPECT_TRUE(l.headers[7].isDummy());
-    l.headers[7] = SlotHeader{BlockId{99}, Leaf{5}};
-    l.data[7] = 1234;
-    const ArenaBackend::View v = a->view(5);
-    EXPECT_EQ(v.headers[7].blockId(), BlockId{99});
-    EXPECT_EQ(v.headers[7].leafLabel(), Leaf{5});
-    EXPECT_EQ(v.data[7], 1234u);
-    EXPECT_EQ(a->bytesResident(), a->chunkBytes());
-}
-
-TEST(Arena, MmapFileBackedRoundTrip)
-{
-    std::string path = ::testing::TempDir() + "proram_arena_test.bin";
-    {
-        ArenaOptions o = opts(ArenaKind::Mmap, 8);
-        o.mmapPath = path;
-        auto a = ArenaBackend::make(o, 128, 3);
-        const ArenaBackend::Lanes l = a->materialize(2);
-        l.headers[0] = SlotHeader{BlockId{42}, Leaf{3}};
-        l.data[0] = 4242;
-        EXPECT_EQ(a->view(2).headers[0].blockId(), BlockId{42});
-    }
-    // The mapping is MAP_SHARED: the writes reached the file.
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::fclose(f);
-    std::remove(path.c_str());
-}
-
-TEST(Arena, MmapOpenFailureIsClearFatal)
-{
-    ArenaOptions o = opts(ArenaKind::Mmap, 8);
-    o.mmapPath = "/nonexistent-dir-xyz/arena.bin";
-    try {
-        ArenaBackend::make(o, 128, 3);
-        FAIL() << "expected SimFatal";
-    } catch (const SimFatal &e) {
-        // The error must name the path and the errno string, not UB.
-        EXPECT_NE(std::string(e.what()).find("/nonexistent-dir-xyz"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("cannot open"),
-                  std::string::npos);
-    }
-}
-
-TEST(Arena, MmapHugePageKnobIsAccepted)
-{
-    // MADV_HUGEPAGE may be refused by the kernel (then it warns), but
-    // the backend must construct and work either way.
-    ArenaOptions o = opts(ArenaKind::Mmap, 8);
-    o.hugePages = true;
-    auto a = ArenaBackend::make(o, 128, 3);
-    const ArenaBackend::Lanes l = a->materialize(0);
-    ASSERT_NE(l.headers, nullptr);
-    EXPECT_EQ(l.free[0], 3u);
-}
-
-#endif // __linux__
 
 } // namespace
 } // namespace proram

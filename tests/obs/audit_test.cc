@@ -17,6 +17,7 @@
 #include "trace/benchmarks.hh"
 #include "trace/trace_file.hh"
 #include "util/bits.hh"
+#include "util/logging.hh"
 
 namespace proram
 {
@@ -367,6 +368,11 @@ TEST(AuditorSystem, EnvVarEnablesTheAuditor)
     {
         System off(cfg);
         EXPECT_EQ(off.auditor(), nullptr);
+    }
+    // Anything but exactly 0 or 1 is fatal, never a silent on or off.
+    for (const char *bad : {"", "yes", "true", "2", "01x", " 1", "-1"}) {
+        ::setenv("PRORAM_AUDIT", bad, 1);
+        EXPECT_THROW(System{cfg}, SimFatal) << "'" << bad << "'";
     }
     if (ambient)
         ::setenv("PRORAM_AUDIT", saved.c_str(), 1);

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Self-tests for oblivious_lint.py against the committed fixtures.
+"""Self-tests for oblivious_lint.py against the committed fixtures,
+and for knob_inventory.py against small scratch trees.
 
 Run directly (python3 tools/lint/lint_selftest.py) or through ctest
 (registered as lint_selftest next to snapshot_py). The fixtures are
@@ -16,6 +17,7 @@ import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+import knob_inventory  # noqa: E402
 import oblivious_lint  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -270,6 +272,59 @@ class ShippedTree(unittest.TestCase):
         rc = oblivious_lint.main(["--root", root, "--engine", "text",
                                   "--quiet", "src"])
         self.assertEqual(rc, 0)
+
+
+class KnobInventory(unittest.TestCase):
+    """knob_inventory.py: the PRORAM_* knobs src/ reads and the ones
+    EXPERIMENTS.md documents must be the same set."""
+
+    SRC = ('const char *a = std::getenv("PRORAM_A");\n'
+           'auto b = envKnob("PRORAM_B", 1, 1, 8);\n'
+           'fatal("PRORAM_A: a message, not a knob");\n')
+    TESTS = ('const char *t = std::getenv("PRORAM_T");\n'
+             '::setenv("PRORAM_SCRATCH", "1", 1);\n')
+    DOC = ("* **`PRORAM_A`** - read by src\n"
+           "* **`PRORAM_B`** - read by src through envKnob\n"
+           "* **`PRORAM_T`** - read by a test\n"
+           "`PRORAM_NATIVE` is a CMake option, not a knob entry.\n")
+
+    def check_tree(self, src=SRC, tests=TESTS, doc=DOC):
+        with tempfile.TemporaryDirectory() as tmp:
+            for rel, text in (("src/x/a.cc", src), ("tests/t.cc", tests),
+                              ("EXPERIMENTS.md", doc)):
+                path = os.path.join(tmp, rel)
+                os.makedirs(os.path.dirname(path), exist_ok=True)
+                with open(path, "w") as f:
+                    f.write(text)
+            return knob_inventory.check(tmp)
+
+    def test_consistent_tree_is_clean(self):
+        self.assertEqual([], self.check_tree())
+
+    def test_undocumented_knob_caught(self):
+        doc = self.DOC.replace("* **`PRORAM_B`**", "* `PRORAM_B`")
+        problems = self.check_tree(doc=doc)
+        self.assertEqual(len(problems), 1)
+        self.assertIn("PRORAM_B", problems[0])
+        self.assertIn("src/x/a.cc:2", problems[0])
+
+    def test_stale_entry_caught(self):
+        problems = self.check_tree(
+            doc=self.DOC + "* **`PRORAM_GONE`** - deleted knob\n")
+        self.assertEqual(len(problems), 1)
+        self.assertIn("PRORAM_GONE", problems[0])
+        self.assertIn("EXPERIMENTS.md", problems[0])
+
+    def test_test_side_setenv_is_not_a_read(self):
+        # A test that only sets a knob does not keep its entry alive.
+        tests = self.TESTS.replace('std::getenv("PRORAM_T")', '0')
+        problems = self.check_tree(tests=tests)
+        self.assertEqual(len(problems), 1)
+        self.assertIn("PRORAM_T", problems[0])
+
+    def test_shipped_tree_consistent(self):
+        root = os.path.dirname(os.path.dirname(HERE))
+        self.assertEqual([], knob_inventory.check(root))
 
 
 if __name__ == "__main__":
