@@ -37,10 +37,8 @@ mixedGen(bool phases)
     return std::make_unique<SyntheticGenerator>(c);
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     bench::banner(
         "Ablation: thresholding mode, hysteresis, PLB size",
@@ -165,4 +163,12 @@ main()
         std::printf("%s\n", t.str().c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

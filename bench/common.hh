@@ -1,7 +1,8 @@
 /**
  * @file
- * Shared plumbing for the figure-reproduction binaries: scale factor,
- * banner printing, and the standard scheme set.
+ * Shared plumbing for the figure-reproduction binaries: the checked
+ * entry point, scale factor, banner printing, and the standard scheme
+ * set.
  */
 
 #ifndef PRORAM_BENCH_COMMON_HH
@@ -12,9 +13,29 @@
 
 #include "sim/experiment.hh"
 #include "stats/table.hh"
+#include "util/logging.hh"
 
 namespace proram::bench
 {
+
+/**
+ * Entry point of every figure, table, ablation and extension binary:
+ * run @p body and return its status. A SimFatal - a rejected env knob
+ * such as PRORAM_BENCH_SCALE=0,05, or a configuration that cannot be
+ * simulated - prints its message on stderr and exits 1 instead of
+ * escaping main into std::terminate.
+ */
+template <typename Body>
+int
+guardedMain(Body &&body)
+{
+    try {
+        return body();
+    } catch (const SimFatal &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+}
 
 /** Print the figure banner with the paper-expected shape. */
 inline void

@@ -14,8 +14,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner(
         "Extension: Oint sweep - trading performance for energy",
@@ -56,4 +59,12 @@ main()
                 "timing channel leaks nothing and dyn's gain is pure "
                 "win.)\n");
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

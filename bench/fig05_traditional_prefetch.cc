@@ -13,8 +13,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner(
         "Figure 5: Traditional data prefetching on DRAM and ORAM",
@@ -48,4 +51,12 @@ main()
 
     std::printf("%s\n", t.str().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

@@ -13,8 +13,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner(
         "Figure 6a: Sweep of the percentage of data with locality",
@@ -61,4 +64,12 @@ main()
     }
     std::printf("%s\n", t.str().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

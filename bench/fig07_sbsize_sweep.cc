@@ -29,10 +29,8 @@ seqGen()
     return std::make_unique<SyntheticGenerator>(c);
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     bench::banner(
         "Figure 7: Super block size sweep (100% locality synthetic)",
@@ -69,4 +67,12 @@ main()
     }
     std::printf("%s\n", t.str().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

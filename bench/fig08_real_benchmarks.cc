@@ -88,10 +88,8 @@ runSuite(const Experiment &exp, const char *title,
     std::printf("%s\n", t.str().c_str());
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     bench::banner(
         "Figure 8: Static vs dynamic super blocks on real benchmarks",
@@ -105,4 +103,12 @@ main()
     runSuite(exp, "Fig. 8b: SPEC06", spec06Suite());
     runSuite(exp, "Fig. 8c: DBMS", dbmsSuite());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

@@ -12,8 +12,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner(
         "Figure 10: Merge/break coefficient sweep (mXbY)",
@@ -54,4 +57,12 @@ main()
     }
     std::printf("%s\n", t.str().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

@@ -12,8 +12,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner(
         "Figure 12: Stash size sweep (norm. completion time vs DRAM)",
@@ -51,4 +54,12 @@ main()
         std::printf("%s\n", t.str().c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

@@ -11,8 +11,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner(
         "Figure 13: Z sweep (norm. completion time vs DRAM)",
@@ -40,4 +43,12 @@ main()
     }
     std::printf("%s\n", t.str().c_str());
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

@@ -11,8 +11,11 @@
 
 using namespace proram;
 
+namespace
+{
+
 int
-main()
+run()
 {
     bench::banner(
         "Figure 14: Cacheline size sweep (norm. completion time vs "
@@ -49,4 +52,12 @@ main()
         std::printf("%s\n", t.str().c_str());
     }
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    return bench::guardedMain(run);
 }

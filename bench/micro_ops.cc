@@ -2,9 +2,10 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's primitive
  * operations: path read/write, pos-map walk, background eviction,
- * full controller accesses per scheme, policy bookkeeping, and the
- * isolated memory-layout loops (stash scan, PLB lookup, tree path
- * touch) that PR 2's cache-conscious containers target.
+ * eviction with a near-full stash, full controller accesses per
+ * scheme, policy bookkeeping, and the isolated memory-layout loops
+ * (stash scan, PLB lookup, tree path touch) that the cache-conscious
+ * containers target.
  * These measure *simulator* throughput (host time), useful for
  * estimating experiment wall-clock budgets.
  */
@@ -60,6 +61,43 @@ BM_PathReadWrite(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PathReadWrite);
+
+void
+BM_EvictHighOccupancy(benchmark::State &state)
+{
+    // One data access - read the block's path, remap the block, write
+    // back - plus the background evictions that bring the stash back
+    // under capacity, on a tree full enough (Z = 2) that the stash
+    // stays near capacity between accesses: the regime of the Ring
+    // and static-super-block cells, where eviction's per-stash-block
+    // work dominates. BM_PathReadWrite runs with a near-empty stash.
+    OramConfig cfg = microCfg();
+    cfg.z = 2;
+    UnifiedOram oram(cfg);
+    oram.initialize();
+    OramScheme &engine = oram.engine();
+    Rng rng(6);
+    std::uint64_t evictions = 0;
+    double stash_sum = 0;
+    for (auto _ : state) {
+        const BlockId b{rng.below(cfg.numDataBlocks)};
+        const Leaf leaf = engine.posMap().leafOf(b);
+        engine.readPath(leaf);
+        engine.posMap().setLeaf(b, engine.randomLeaf());
+        stash_sum += static_cast<double>(engine.stash().size());
+        engine.writePath(leaf);
+        while (engine.stash().overCapacity()) {
+            engine.dummyAccess();
+            ++evictions;
+        }
+    }
+    state.SetItemsProcessed(state.iterations());
+    const double n = static_cast<double>(state.iterations());
+    state.counters["stashAtEvict"] = n > 0 ? stash_sum / n : 0;
+    state.counters["bgPerAccess"] =
+        n > 0 ? static_cast<double>(evictions) / n : 0;
+}
+BENCHMARK(BM_EvictHighOccupancy);
 
 void
 BM_BackgroundEviction(benchmark::State &state)

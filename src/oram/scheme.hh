@@ -23,6 +23,7 @@
 #include "oram/position_map.hh"
 #include "oram/stash.hh"
 #include "oram/tree.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 
 namespace proram
@@ -153,6 +154,23 @@ class OramScheme
      */
     void evictOnto(Leaf leaf);
 
+    /**
+     * Move every real block on path @p leaf into the stash, buckets
+     * root to leaf and slots in order, each under its slot header's
+     * leaf (Path ORAM's readPath and Ring ORAM's scheduled-eviction
+     * read). Counts nothing; callers bill the path read.
+     */
+    void drainPath(Leaf leaf);
+
+    /** Insert a block just moved out of the tree into the stash;
+     *  panics if it was already there (a duplicated block). */
+    void stashFromTree(BlockId id, Leaf leaf, std::uint64_t data)
+    {
+        const bool fresh = stash_.insert(id, data, leaf);
+        panic_if(!fresh, "block ", id,
+                 " duplicated between tree and stash");
+    }
+
     OramConfig cfg_;
     PositionMap &posMap_;
     BinaryTree tree_;
@@ -163,20 +181,19 @@ class OramScheme
     std::function<void(Leaf)> evictionObserver_;
 
   private:
-    /** Grow the per-slot scratch to cover @p slots stash slots. */
-    void reserveScratch(std::size_t slots);
-
-    // evictOnto scratch, pre-sized from tree geometry at construction
-    // (see reserveScratch) so even the first paths allocate nothing.
-    /** Counting sort: per-level population / start offset / cursor. */
-    std::vector<std::uint32_t> histScratch_;
-    std::vector<std::uint32_t> levelStartScratch_;
-    std::vector<std::uint32_t> levelCursorScratch_;
-    /** Stash slots of the live blocks grouped deepest level first,
-     *  insertion order kept within each level (the stable-scatter
-     *  output); the pool holds the slots still waiting for a bucket. */
-    std::vector<std::uint32_t> sortedScratch_;
-    std::vector<std::uint32_t> poolScratch_;
+    // evictOnto scratch, sized from the tree geometry at construction
+    // and independent of the stash size, so no access allocates.
+    /** Level group g's member region is
+     *  groupMembers_[groupBase_[g], groupBase_[g + 1]): (g + 1) * Z
+     *  slots, as many blocks as the buckets at levels 0..g can take. */
+    std::vector<std::uint32_t> groupBase_;
+    std::vector<std::uint32_t> groupMembers_;
+    /** Members gathered / already placed per level group. */
+    std::vector<std::uint32_t> groupCount_;
+    std::vector<std::uint32_t> groupTaken_;
+    /** The pool: levels of the non-empty groups still waiting for a
+     *  bucket, deepest at the bottom. */
+    std::vector<std::uint32_t> groupStack_;
 };
 
 /** Build the scheme selected by @p cfg (after resolvedScheme()). */

@@ -16,25 +16,6 @@ Stash::Stash(std::uint32_t capacity, std::uint64_t num_blocks)
     data_.reserve(reserve);
 }
 
-PRORAM_HOT bool
-Stash::insert(BlockId id, std::uint64_t data, Leaf leaf)
-{
-    panic_if(id.value() >= numBlocks_, "stash insert of block ", id,
-             " outside the ", numBlocks_, "-block id space");
-    if (contains(id))
-        return false;
-    setResident(id.value(), true);
-    // PRORAM_LINT_ALLOW(hot-alloc): lanes reserve 2x capacity up
-    // front; these appends only reallocate past double overflow.
-    ids_.push_back(id);
-    // PRORAM_LINT_ALLOW(hot-alloc): see above
-    leaves_.push_back(leaf);
-    // PRORAM_LINT_ALLOW(hot-alloc): see above
-    data_.push_back(data);
-    ++live_;
-    return true;
-}
-
 PRORAM_HOT std::size_t
 Stash::slotOf(BlockId id) const
 {
@@ -64,29 +45,14 @@ Stash::updateLeaf(BlockId id, Leaf leaf)
         leaves_[slotOf(id)] = leaf;
 }
 
-PRORAM_HOT void
-Stash::releaseSlot(std::size_t slot)
-{
-    const BlockId id = ids_[slot];
-    panic_if(id == kInvalidBlock, "release of dead stash slot ", slot);
-    // Mark dead in place: shuffling survivors would perturb the
-    // insertion order the eviction scan (and replay determinism)
-    // depends on. compact() preserves relative order. The leaf/data
-    // lanes keep their stale words - lane consumers skip dead slots
-    // by id.
-    ids_[slot] = kInvalidBlock;
-    setResident(id.value(), false);
-    --live_;
-    ++dead_;
-}
-
 void
 Stash::compact()
 {
     if (dead_ == 0)
         return;
-    std::size_t out = 0;
-    for (std::size_t in = 0; in < ids_.size(); ++in) {
+    // Slots below the first hole are already in place.
+    std::size_t out = firstDead_;
+    for (std::size_t in = firstDead_ + 1; in < ids_.size(); ++in) {
         if (ids_[in] == kInvalidBlock)
             continue;
         if (out != in) {
@@ -100,6 +66,7 @@ Stash::compact()
     leaves_.resize(out);
     data_.resize(out);
     dead_ = 0;
+    firstDead_ = kNoDeadSlot;
 }
 
 std::vector<BlockId>

@@ -14,7 +14,8 @@
  * lane, which holds a few dozen live slots. Blocks are moved out by
  * slot: eviction already holds each block's slot from its lane scan,
  * releases it in place (the slot turns dead, survivors do not move)
- * and compacts once at the end of the pass, so iteration order stays
+ * and compacts once at the end of the pass, from the first dead slot
+ * on, so iteration order stays
  * insertion order by construction - the determinism the replay tests
  * rely on. Eviction classifies each slot straight from the
  * contiguous leaf lane (BinaryTree::commonLevel, one bit_width per
@@ -27,10 +28,13 @@
 #ifndef PRORAM_ORAM_STASH_HH
 #define PRORAM_ORAM_STASH_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "stats/stats.hh"
+#include "util/annotations.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -99,7 +103,9 @@ class Stash
      */
     void releaseSlot(std::size_t slot);
 
-    /** Drop dead slots, preserving the survivors' relative order. */
+    /** Drop dead slots, preserving the survivors' relative order.
+     *  Starts at the lowest slot released since the last compaction;
+     *  the slots before it do not move. */
     void compact();
 
     std::size_t size() const { return live_; }
@@ -169,8 +175,51 @@ class Stash
     std::vector<std::uint64_t> resident_;
     std::size_t live_ = 0;
     std::size_t dead_ = 0;
+    /** Lowest dead slot, kNoDeadSlot while there is none. */
+    static constexpr std::size_t kNoDeadSlot = SIZE_MAX;
+    std::size_t firstDead_ = kNoDeadSlot;
     stats::Distribution occupancy_;
 };
+
+// insert and releaseSlot run once per block moved between tree and
+// stash, so they are inline.
+
+PRORAM_HOT inline bool
+Stash::insert(BlockId id, std::uint64_t data, Leaf leaf)
+{
+    panic_if(id.value() >= numBlocks_, "stash insert of block ", id,
+             " outside the ", numBlocks_, "-block id space");
+    if (contains(id))
+        return false;
+    setResident(id.value(), true);
+    // PRORAM_LINT_ALLOW(hot-alloc): lanes reserve 2x capacity up
+    // front; these appends only reallocate past double overflow.
+    ids_.push_back(id);
+    // PRORAM_LINT_ALLOW(hot-alloc): see above
+    leaves_.push_back(leaf);
+    // PRORAM_LINT_ALLOW(hot-alloc): see above
+    data_.push_back(data);
+    ++live_;
+    return true;
+}
+
+PRORAM_HOT inline void
+Stash::releaseSlot(std::size_t slot)
+{
+    const BlockId id = ids_[slot];
+    panic_if(id == kInvalidBlock, "release of dead stash slot ", slot);
+    // Mark dead in place: shuffling survivors would perturb the
+    // insertion order the eviction scan (and replay determinism)
+    // depends on. compact() preserves relative order. The leaf/data
+    // lanes keep their stale words - lane consumers skip dead slots
+    // by id.
+    ids_[slot] = kInvalidBlock;
+    setResident(id.value(), false);
+    --live_;
+    ++dead_;
+    if (slot < firstDead_)
+        firstDead_ = slot;
+}
 
 } // namespace proram
 

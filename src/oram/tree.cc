@@ -29,18 +29,19 @@ BinaryTree::BinaryTree(std::uint32_t levels, std::uint32_t z,
     chunkMask_ = arena_->chunkBuckets() - 1;
 }
 
-TreeIdx
-BinaryTree::nodeOnPath(Leaf leaf, Level level) const
+void
+BinaryTree::checkLeaf(Leaf leaf) const
 {
     panic_if(leaf.value() >= numLeaves(), "leaf ", leaf,
              " out of range");
+}
+
+TreeIdx
+BinaryTree::nodeOnPath(Leaf leaf, Level level) const
+{
+    checkLeaf(leaf);
     panic_if(level.value() > levels_, "level ", level, " out of range");
-    // Heap level l spans indices [2^l - 1, 2^(l+1) - 2] and the path
-    // node within it is indexed by the top `level` bits of the leaf
-    // label, so the bit-by-bit walk collapses to one shift-and-add.
-    return TreeIdx{((1ULL << level.value()) - 1) +
-                   (static_cast<std::uint64_t>(leaf.value()) >>
-                    (levels_ - level.value()))};
+    return pathNode(leaf, level.value());
 }
 
 bool

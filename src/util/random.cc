@@ -57,6 +57,11 @@ std::uint64_t
 Rng::below(std::uint64_t bound)
 {
     panic_if(bound == 0, "Rng::below(0)");
+    // A power of two divides 2^64: the rejection threshold below is 0
+    // and r % bound is the low bits, so the mask returns the same
+    // value from the same single draw.
+    if ((bound & (bound - 1)) == 0)
+        return next() & (bound - 1);
     // Lemire-style rejection to remove modulo bias.
     const std::uint64_t threshold = (0 - bound) % bound;
     for (;;) {

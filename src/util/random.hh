@@ -33,7 +33,8 @@ class Rng
 
     /**
      * Uniform value in [0, bound), rejection-sampled to avoid modulo
-     * bias. @pre bound > 0
+     * bias; a power-of-two bound takes one draw and a mask (the same
+     * value the rejection loop returns). @pre bound > 0
      */
     std::uint64_t below(std::uint64_t bound);
 

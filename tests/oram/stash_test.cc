@@ -170,6 +170,53 @@ TEST(Stash, EvictionBySlotCompactsOnceAndKeepsSurvivorOrder)
     EXPECT_EQ(s.slotCount(), 6u);
 }
 
+TEST(Stash, CompactionFromTheFirstHoleKeepsOrder)
+{
+    // compact() starts at the lowest released slot. Holes at the head,
+    // in the middle, at the tail and everywhere must all leave the
+    // survivors in insertion order with their own lanes, and a second
+    // round of releases after a compaction must start afresh.
+    // Head, middle, tail, everywhere, and high slot released first.
+    const std::vector<std::vector<std::size_t>> cases = {
+        {0, 1, 2}, {5, 6, 9}, {13, 14, 15}, {0, 3, 6, 9, 12, 15}, {15, 0}};
+    for (const std::vector<std::size_t> &holes : cases) {
+        Stash s(8, kIds);
+        for (std::uint64_t b = 0; b < 16; ++b)
+            s.insert(BlockId{b + 40}, b * 7,
+                     Leaf{static_cast<std::uint32_t>(b + 1)});
+        std::vector<std::uint64_t> kept;
+        for (std::uint64_t b = 0; b < 16; ++b) {
+            bool hole = false;
+            for (std::size_t h : holes)
+                hole = hole || h == b;
+            if (!hole)
+                kept.push_back(b);
+        }
+        for (std::size_t h : holes)
+            s.releaseSlot(h);
+        s.compact();
+        ASSERT_EQ(s.slotCount(), kept.size());
+        for (std::size_t i = 0; i < kept.size(); ++i) {
+            EXPECT_EQ(s.idLane()[i], BlockId{kept[i] + 40})
+                << "slot " << i << ", first hole " << holes.front();
+            EXPECT_EQ(s.leafLane()[i],
+                      Leaf{static_cast<std::uint32_t>(kept[i] + 1)});
+            EXPECT_EQ(s.dataLane()[i], kept[i] * 7);
+        }
+        // Second round: drop the new last slot, then the new first.
+        const std::size_t last = s.slotCount() - 1;
+        s.releaseSlot(last);
+        s.compact();
+        s.releaseSlot(0);
+        s.compact();
+        std::vector<BlockId> expect;
+        for (std::size_t i = 1; i + 1 < kept.size(); ++i)
+            expect.push_back(BlockId{kept[i] + 40});
+        EXPECT_EQ(s.residentIds(), expect);
+        EXPECT_EQ(s.size(), expect.size());
+    }
+}
+
 TEST(Stash, OrderAndLookupsSurviveCompaction)
 {
     // Churn enough dead entries through several release/compact

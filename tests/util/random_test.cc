@@ -32,6 +32,55 @@ TEST(Rng, DifferentSeedsDiverge)
     EXPECT_LT(same, 5);
 }
 
+/** The Lemire rejection loop every bound took before the power-of-two
+ *  fast path, driven off @p rng 's raw draws. */
+std::uint64_t
+referenceBelow(Rng &rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = (0 - bound) % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, PowerOfTwoBelowMatchesTheRejectionLoop)
+{
+    for (const std::uint64_t bound :
+         {1ULL, 2ULL, 1ULL << 14, 1ULL << 31}) {
+        Rng fast(bound * 7 + 1), ref(bound * 7 + 1);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(fast.below(bound), referenceBelow(ref, bound))
+                << "bound " << bound << " draw " << i;
+        // Same values from the same number of draws: the generators
+        // are still in lockstep afterwards.
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(fast.next(), ref.next()) << "bound " << bound;
+    }
+}
+
+TEST(Rng, OtherBoundsStillTakeTheRejectionLoop)
+{
+    // 3 would read only {0, 2} through a (bound - 1) mask; 2^63 + 1
+    // rejects about half of all draws, so a wrong path desyncs the
+    // generators within a few calls.
+    for (const std::uint64_t bound : {3ULL, (1ULL << 63) + 1}) {
+        Rng fast(11), ref(11);
+        bool saw_one = false;
+        for (int i = 0; i < 2000; ++i) {
+            const std::uint64_t v = fast.below(bound);
+            ASSERT_EQ(v, referenceBelow(ref, bound))
+                << "bound " << bound << " draw " << i;
+            saw_one = saw_one || v == 1;
+        }
+        EXPECT_EQ(fast.next(), ref.next()) << "bound " << bound;
+        if (bound == 3) {
+            EXPECT_TRUE(saw_one);
+        }
+    }
+}
+
 TEST(Rng, BelowStaysInRange)
 {
     Rng rng(7);
