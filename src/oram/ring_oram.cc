@@ -64,6 +64,8 @@ RingOram::readPath(Leaf leaf)
     PRORAM_TRACE_SCOPE_ARG("oram", "readPath", "leaf", leaf);
     ++pathReads_;
     tree_.checkLeaf(leaf);
+    const Stash::Tail window = stash_.openTail(pathSlots());
+    std::size_t moved = 0;
     for (std::uint32_t l = 0; l <= tree_.levels(); ++l) {
         // Interest-set probe: only blocks mapped to the accessed leaf
         // leave their bucket (the demanded super block's members and
@@ -72,12 +74,12 @@ RingOram::readPath(Leaf leaf)
         // (the slot header's leaf); the public pattern is one read per
         // bucket on the path either way.
         const TreeIdx node = tree_.pathNode(leaf, l);
-        const std::uint32_t extracted = tree_.drainBucket(
-            node, leaf, [this](BlockId id, Leaf at, std::uint64_t data) {
-                stashFromTree(id, at, data);
-            });
+        const std::uint32_t extracted =
+            tree_.drainBucketOnLeaf(node, leaf, window, moved);
+        moved += extracted;
         noteBucketRead(node, extracted);
     }
+    stash_.commitTail(moved);
 }
 
 PRORAM_OBLIVIOUS PRORAM_HOT void

@@ -158,18 +158,16 @@ class OramScheme
      * Move every real block on path @p leaf into the stash, buckets
      * root to leaf and slots in order, each under its slot header's
      * leaf (Path ORAM's readPath and Ring ORAM's scheduled-eviction
-     * read). Counts nothing; callers bill the path read.
+     * read): whole buckets are drained into one stash write window
+     * and committed at once, which panics on a block duplicated
+     * between tree and stash. Counts nothing; callers bill the path
+     * read.
      */
     void drainPath(Leaf leaf);
 
-    /** Insert a block just moved out of the tree into the stash;
-     *  panics if it was already there (a duplicated block). */
-    void stashFromTree(BlockId id, Leaf leaf, std::uint64_t data)
-    {
-        const bool fresh = stash_.insert(id, data, leaf);
-        panic_if(!fresh, "block ", id,
-                 " duplicated between tree and stash");
-    }
+    /** Slots on one path, (L + 1) * Z: the stash write window a path
+     *  read opens. */
+    std::size_t pathSlots() const { return pathSlots_; }
 
     OramConfig cfg_;
     PositionMap &posMap_;
@@ -181,11 +179,14 @@ class OramScheme
     std::function<void(Leaf)> evictionObserver_;
 
   private:
+    std::size_t pathSlots_;
     // evictOnto scratch, sized from the tree geometry at construction
     // and independent of the stash size, so no access allocates.
     /** Level group g's member region is
      *  groupMembers_[groupBase_[g], groupBase_[g + 1]): (g + 1) * Z
-     *  slots, as many blocks as the buckets at levels 0..g can take. */
+     *  slots, as many blocks as the buckets at levels 0..g can take,
+     *  plus one slack entry the classify pass writes a surplus member
+     *  into without advancing. */
     std::vector<std::uint32_t> groupBase_;
     std::vector<std::uint32_t> groupMembers_;
     /** Members gathered / already placed per level group. */
@@ -194,6 +195,9 @@ class OramScheme
     /** The pool: levels of the non-empty groups still waiting for a
      *  bucket, deepest at the bottom. */
     std::vector<std::uint32_t> groupStack_;
+    /** Stash slots placed by the current pass, released in bulk after
+     *  the fill (at most one per path slot). */
+    std::vector<std::uint32_t> placedSlots_;
 };
 
 /** Build the scheme selected by @p cfg (after resolvedScheme()). */

@@ -6,20 +6,29 @@
 namespace proram
 {
 
-Stash::Stash(std::uint32_t capacity, std::uint64_t num_blocks)
+Stash::Stash(std::uint32_t capacity, std::uint64_t num_blocks,
+             std::size_t window)
     : capacity_(capacity), numBlocks_(num_blocks),
       resident_((num_blocks + 63) / 64, 0)
 {
-    const std::size_t reserve = static_cast<std::size_t>(capacity) * 2;
-    ids_.reserve(reserve);
-    leaves_.reserve(reserve);
-    data_.reserve(reserve);
+    grow(static_cast<std::size_t>(capacity) * 2 + window);
+}
+
+void
+Stash::grow(std::size_t slots)
+{
+    std::size_t size = ids_.size() * 2;
+    if (size < slots)
+        size = slots;
+    ids_.resize(size, kInvalidBlock);
+    leaves_.resize(size, kInvalidLeaf);
+    data_.resize(size, 0);
 }
 
 PRORAM_HOT std::size_t
 Stash::slotOf(BlockId id) const
 {
-    for (std::size_t i = ids_.size(); i-- > 0;) {
+    for (std::size_t i = slots_; i-- > 0;) {
         if (ids_[i] == id)
             return i;
     }
@@ -45,26 +54,26 @@ Stash::updateLeaf(BlockId id, Leaf leaf)
         leaves_[slotOf(id)] = leaf;
 }
 
-void
+PRORAM_HOT void
 Stash::compact()
 {
     if (dead_ == 0)
         return;
-    // Slots below the first hole are already in place.
+    // Slots below the first hole are already in place. Every slot is
+    // copied down and the output cursor advances past the live ones,
+    // so the loop does not branch on which slots are dead.
+    BlockId *ids = ids_.data();
+    Leaf *leaves = leaves_.data();
+    std::uint64_t *data = data_.data();
     std::size_t out = firstDead_;
-    for (std::size_t in = firstDead_ + 1; in < ids_.size(); ++in) {
-        if (ids_[in] == kInvalidBlock)
-            continue;
-        if (out != in) {
-            ids_[out] = ids_[in];
-            leaves_[out] = leaves_[in];
-            data_[out] = data_[in];
-        }
-        ++out;
+    for (std::size_t in = firstDead_ + 1; in < slots_; ++in) {
+        const BlockId id = ids[in];
+        ids[out] = id;
+        leaves[out] = leaves[in];
+        data[out] = data[in];
+        out += id != kInvalidBlock;
     }
-    ids_.resize(out);
-    leaves_.resize(out);
-    data_.resize(out);
+    slots_ = out;
     dead_ = 0;
     firstDead_ = kNoDeadSlot;
 }
@@ -74,10 +83,7 @@ Stash::residentIds() const
 {
     std::vector<BlockId> out;
     out.reserve(live_);
-    for (BlockId id : ids_) {
-        if (id != kInvalidBlock)
-            out.push_back(id);
-    }
+    forEachResident([&](const StashEntry &e) { out.push_back(e.id); });
     return out;
 }
 

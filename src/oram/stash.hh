@@ -5,24 +5,33 @@
  * is either on path s or in the stash.
  *
  * Storage is one dense insertion-ordered store in structure-of-arrays
- * form: three parallel lanes (block ids, cached leaves, payload words)
- * share slot numbering. There is no id -> slot index. Residency is a
- * bitset over the whole BlockId space, sized at construction, so
- * contains() and the duplicate-insert check are O(1) and the hot path
- * never allocates; the few per-access lookups by id (findData,
- * leafOf, updateLeaf) test the bitset first and only then scan the id
- * lane, which holds a few dozen live slots. Blocks are moved out by
- * slot: eviction already holds each block's slot from its lane scan,
- * releases it in place (the slot turns dead, survivors do not move)
- * and compacts once at the end of the pass, from the first dead slot
- * on, so iteration order stays
- * insertion order by construction - the determinism the replay tests
- * rely on. Eviction classifies each slot straight from the
- * contiguous leaf lane (BinaryTree::commonLevel, one bit_width per
- * block) with no per-entry struct stride. Cached leaves mirror the
- * position map (kept coherent by PositionMap's setLeaf hook) and are
- * what eviction writes into the tree's slot headers, so neither half
- * of an access does a position-map lookup per block.
+ * form: three parallel fixed-capacity lanes (block ids, cached
+ * leaves, payload words) share slot numbering, with a slot count in
+ * front of them; the lanes only grow in one cold grow(). There is no
+ * id -> slot index. Residency is a bitset over the whole BlockId
+ * space, sized at construction, so contains() and the duplicate
+ * check are O(1) and the hot path never allocates; the few
+ * per-access lookups by id (findData, leafOf, updateLeaf) test the
+ * bitset first and only then scan the id lane, which holds a few
+ * dozen live slots.
+ *
+ * A path read appends in bulk: openTail() hands out a write window
+ * past the last slot, the caller copies whole buckets into it and
+ * advances by "slot is real", and commitTail() sets the residency
+ * bits of the entries it kept in one pass (raising the id-range and
+ * duplicate panics there). Eviction moves blocks out by slot: it
+ * already holds each block's slot from its lane scan, releases all
+ * the slots it placed in one bulk pass (they turn dead in place,
+ * survivors do not move) and compacts once at the end, from the
+ * first dead slot on, so iteration order stays insertion order by
+ * construction - the determinism the replay tests rely on. Between
+ * passes the stash is compacted: every slot below slotCount() is
+ * live. Eviction classifies each slot straight from the contiguous
+ * leaf lane (BinaryTree::commonLevel, one bit_width per block) with
+ * no per-entry struct stride. Cached leaves mirror the position map
+ * (kept coherent by PositionMap's setLeaf hook) and are what eviction
+ * writes into the tree's slot headers, so neither half of an access
+ * does a position-map lookup per block.
  */
 
 #ifndef PRORAM_ORAM_STASH_HH
@@ -55,8 +64,8 @@ struct StashEntry
  * eviction - the stash itself never refuses an insertion (hardware
  * would deadlock; the controller's job is to keep it small).
  *
- * Pointers returned by findData() and the lane pointers are
- * invalidated by insert() and compact().
+ * Pointers returned by findData(), openTail() and the lane pointers
+ * are invalidated by insert(), openTail() and compact().
  */
 class Stash
 {
@@ -66,12 +75,46 @@ class Stash
      * @param num_blocks size of the id space [0, num_blocks) the
      *        residency bitset covers; inserting an id outside it is a
      *        simulator bug.
+     * @param window the largest openTail() the owner will ask for
+     *        (a whole path's slots); the lanes start with room for
+     *        twice @p capacity plus one window.
      */
-    Stash(std::uint32_t capacity, std::uint64_t num_blocks);
+    Stash(std::uint32_t capacity, std::uint64_t num_blocks,
+          std::size_t window = 0);
 
     /** Add a block mapped to @p leaf. @return false if already
      *  present (the existing entry is left untouched). */
     bool insert(BlockId id, std::uint64_t data, Leaf leaf);
+
+    /** Write window past the last slot (openTail()). */
+    struct Tail
+    {
+        BlockId *ids;
+        Leaf *leaves;
+        std::uint64_t *data;
+    };
+
+    /**
+     * Room for @p n appended blocks: lane pointers to the slots just
+     * past slotCount(). The caller writes candidates into the window
+     * in order and keeps the first k of them by calling
+     * commitTail(k); anything written past k is ignored.
+     */
+    Tail openTail(std::size_t n)
+    {
+        if (slots_ + n > ids_.size())
+            grow(slots_ + n);
+        return Tail{ids_.data() + slots_, leaves_.data() + slots_,
+                    data_.data() + slots_};
+    }
+
+    /**
+     * Make the first @p n entries of the open window resident, in
+     * order: one pass sets their residency bits. Panics, naming the
+     * block, on an id outside the id space or on a block that is
+     * already resident (a block duplicated between tree and stash).
+     */
+    void commitTail(std::size_t n);
 
     /** O(1): one residency-bitset probe. */
     bool contains(BlockId id) const
@@ -81,7 +124,7 @@ class Stash
     }
 
     /** @return pointer to the block's payload word or nullptr.
-     *  Invalidated by insert() and compact(). */
+     *  Invalidated by insert(), openTail() and compact(). */
     std::uint64_t *findData(BlockId id);
 
     /** Cached leaf of @p id, or kInvalidLeaf if not resident. */
@@ -103,21 +146,28 @@ class Stash
      */
     void releaseSlot(std::size_t slot);
 
+    /** releaseSlot() of @p n distinct live slots in one pass. */
+    void releaseSlots(const std::uint32_t *slots, std::size_t n);
+
     /** Drop dead slots, preserving the survivors' relative order.
      *  Starts at the lowest slot released since the last compaction;
      *  the slots before it do not move. */
     void compact();
+
+    /** True when no slot is dead (every slot is live). */
+    bool compacted() const { return dead_ == 0; }
 
     std::size_t size() const { return live_; }
     std::uint32_t capacity() const { return capacity_; }
     bool overCapacity() const { return live_ > capacity_; }
 
     /** @name SoA lanes (the eviction engine's hot interface).
-     *  Slots [0, slotCount()) include dead entries: a slot is live iff
-     *  idLane()[slot] != kInvalidBlock, and dead slots' leaf/data
-     *  lanes hold stale values callers must ignore. Pointers are
-     *  invalidated by insert() and compact(). @{ */
-    std::size_t slotCount() const { return ids_.size(); }
+     *  Slots [0, slotCount()) include dead entries until compact(): a
+     *  slot is live iff idLane()[slot] != kInvalidBlock, and dead
+     *  slots' leaf/data lanes hold stale values callers must ignore.
+     *  Pointers are invalidated by insert(), openTail() and
+     *  compact(). @{ */
+    std::size_t slotCount() const { return slots_; }
     const BlockId *idLane() const { return ids_.data(); }
     const Leaf *leafLane() const { return leaves_.data(); }
     const std::uint64_t *dataLane() const { return data_.data(); }
@@ -132,8 +182,7 @@ class Stash
     template <typename Fn>
     void forEachResident(Fn &&fn) const
     {
-        const std::size_t n = ids_.size();
-        for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t i = 0; i < slots_; ++i) {
             if (ids_[i] != kInvalidBlock)
                 fn(StashEntry{ids_[i], leaves_[i], data_[i]});
         }
@@ -157,20 +206,19 @@ class Stash
      *  its own readPath just appended. */
     std::size_t slotOf(BlockId id) const;
 
-    void setResident(std::uint64_t v, bool on)
-    {
-        const std::uint64_t bit = 1ULL << (v & 63);
-        resident_[v >> 6] = on ? (resident_[v >> 6] | bit)
-                               : (resident_[v >> 6] & ~bit);
-    }
+    /** Resize the lanes to hold at least @p slots slots (the one
+     *  place they allocate; doubles, so appends stay amortized). */
+    void grow(std::size_t slots);
 
     std::uint32_t capacity_;
     std::uint64_t numBlocks_;
-    /** Parallel SoA lanes; dead slots keep id == kInvalidBlock until
-     *  compact() reclaims them. */
+    /** Parallel SoA lanes of fixed length (grown only by grow());
+     *  slots [0, slots_) are in use, dead ones with id ==
+     *  kInvalidBlock until compact() reclaims them. */
     std::vector<BlockId> ids_;
     std::vector<Leaf> leaves_;
     std::vector<std::uint64_t> data_;
+    std::size_t slots_ = 0;
     /** One bit per BlockId in [0, numBlocks_): set iff resident. */
     std::vector<std::uint64_t> resident_;
     std::size_t live_ = 0;
@@ -181,8 +229,7 @@ class Stash
     stats::Distribution occupancy_;
 };
 
-// insert and releaseSlot run once per block moved between tree and
-// stash, so they are inline.
+// The per-block moves between tree and stash are inline.
 
 PRORAM_HOT inline bool
 Stash::insert(BlockId id, std::uint64_t data, Leaf leaf)
@@ -191,34 +238,61 @@ Stash::insert(BlockId id, std::uint64_t data, Leaf leaf)
              " outside the ", numBlocks_, "-block id space");
     if (contains(id))
         return false;
-    setResident(id.value(), true);
-    // PRORAM_LINT_ALLOW(hot-alloc): lanes reserve 2x capacity up
-    // front; these appends only reallocate past double overflow.
-    ids_.push_back(id);
-    // PRORAM_LINT_ALLOW(hot-alloc): see above
-    leaves_.push_back(leaf);
-    // PRORAM_LINT_ALLOW(hot-alloc): see above
-    data_.push_back(data);
-    ++live_;
+    const Tail t = openTail(1);
+    t.ids[0] = id;
+    t.leaves[0] = leaf;
+    t.data[0] = data;
+    commitTail(1);
     return true;
+}
+
+PRORAM_HOT inline void
+Stash::commitTail(std::size_t n)
+{
+    const BlockId *ids = ids_.data() + slots_;
+    std::uint64_t *resident = resident_.data();
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t v = ids[i].value();
+        panic_if(v >= numBlocks_, "stash insert of block ", ids[i],
+                 " outside the ", numBlocks_, "-block id space");
+        const std::uint64_t bit = 1ULL << (v & 63);
+        panic_if(resident[v >> 6] & bit, "block ", ids[i],
+                 " duplicated between tree and stash");
+        resident[v >> 6] |= bit;
+    }
+    slots_ += n;
+    live_ += n;
 }
 
 PRORAM_HOT inline void
 Stash::releaseSlot(std::size_t slot)
 {
-    const BlockId id = ids_[slot];
-    panic_if(id == kInvalidBlock, "release of dead stash slot ", slot);
+    const std::uint32_t s = static_cast<std::uint32_t>(slot);
+    releaseSlots(&s, 1);
+}
+
+PRORAM_HOT inline void
+Stash::releaseSlots(const std::uint32_t *slots, std::size_t n)
+{
     // Mark dead in place: shuffling survivors would perturb the
     // insertion order the eviction scan (and replay determinism)
     // depends on. compact() preserves relative order. The leaf/data
     // lanes keep their stale words - lane consumers skip dead slots
     // by id.
-    ids_[slot] = kInvalidBlock;
-    setResident(id.value(), false);
-    --live_;
-    ++dead_;
-    if (slot < firstDead_)
-        firstDead_ = slot;
+    std::uint64_t *resident = resident_.data();
+    std::size_t lowest = firstDead_;
+    for (std::size_t k = 0; k < n; ++k) {
+        const std::uint32_t slot = slots[k];
+        panic_if(slot >= slots_ || ids_[slot] == kInvalidBlock,
+                 "release of dead stash slot ", slot);
+        const std::uint64_t v = ids_[slot].value();
+        resident[v >> 6] &= ~(1ULL << (v & 63));
+        ids_[slot] = kInvalidBlock;
+        lowest = slot < lowest ? slot : lowest;
+    }
+    live_ -= n;
+    dead_ += n;
+    firstDead_ = lowest;
 }
 
 } // namespace proram

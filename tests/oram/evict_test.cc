@@ -1,11 +1,14 @@
 /**
  * @file
  * Differential test of the engine's bucket-granular path moves
- * (BinaryTree::drainBucket / fillBucket, OramScheme::evictOnto's
- * capped per-level gather) against the per-slot eviction they
- * replaced, kept here as the reference: two classify passes, one
- * pool every level group is pushed onto, one tryPlace per block and
- * one clearSlot per drained slot.
+ * (BinaryTree::drainBucket / drainBucketOnLeaf / fillBucket into and
+ * out of the stash's tail window, OramScheme::evictOnto's capped
+ * per-level gather and bulk release) against a per-slot reference:
+ * one stash insert and one clearSlot per drained slot, two classify
+ * passes, one pool every level group is pushed onto and one tryPlace
+ * per block. Single randomized evictions cover odd tree shapes; the
+ * sustained runs drive thousands of remapping accesses with
+ * background eviction and compare the whole state after each one.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +45,24 @@ referenceDrain(BinaryTree &tree, Stash &stash, Leaf leaf)
         for (std::uint32_t i = 0; i < tree.z(); ++i) {
             const SlotHeader h = tree.slotHeader(node, i);
             if (h.isDummy())
+                continue;
+            ASSERT_TRUE(stash.insert(h.blockId(), tree.slotData(node, i),
+                                     h.leafLabel()));
+            tree.clearSlot(node, i);
+        }
+    }
+}
+
+/** Reference Ring ORAM read: only the slots whose header leaf is
+ *  @p leaf move, slot by slot. */
+void
+referenceDrainOnLeaf(BinaryTree &tree, Stash &stash, Leaf leaf)
+{
+    for (Level level{0}; level <= tree.leafLevel(); ++level) {
+        const TreeIdx node = tree.nodeOnPath(leaf, level);
+        for (std::uint32_t i = 0; i < tree.z(); ++i) {
+            const SlotHeader h = tree.slotHeader(node, i);
+            if (h.isDummy() || h.leafLabel() != leaf)
                 continue;
             ASSERT_TRUE(stash.insert(h.blockId(), tree.slotData(node, i),
                                      h.leafLabel()));
@@ -335,6 +356,184 @@ TEST(EvictDifferential, ReadPathDrainMatchesThePerSlotReference)
         expectSameState(ref, got, "readPath");
     }
 }
+
+/** Counts of what one sustained run exercised. */
+struct SustainedCoverage
+{
+    std::uint64_t backgroundEvictions = 0;
+    /** Evictions onto a path holding a bucket that was neither empty
+     *  nor full: the fill's dummy-slot fallback. */
+    std::uint64_t partialBucketFills = 0;
+};
+
+/**
+ * Sustained differential run: a nearly full tree (half full at Z = 1,
+ * three quarters at Z = 2-3, more above, where wider buckets absorb
+ * more) and a stash capacity of a few blocks, so the stash runs over
+ * it often; then @p accesses data accesses, each a read of the
+ * block's path, a remap of the block, the write half, and background
+ * evictions while the stash is over capacity. The reference twin runs
+ * the same protocol through the per-slot reference moves: Path ORAM
+ * evicts onto the read path and background-evicts onto the twin's own
+ * random leaf (the two RNGs stay in step); Ring ORAM reads the
+ * interest set and runs the scheduled eviction every A-th access and
+ * for each background eviction. With @p extra_evictions, every
+ * seventh access also evicts onto a random path it did not read,
+ * whose buckets still hold blocks. Tree slots, free counts and stash
+ * order are compared after every access.
+ */
+SustainedCoverage
+runSustained(SchemeKind kind, std::uint32_t z, ArenaKind arena_kind,
+             bool extra_evictions, std::uint64_t seed,
+             std::uint32_t accesses)
+{
+    constexpr std::uint32_t kLevels = 7;
+    ArenaOptions arena;
+    arena.kind = arena_kind;
+    arena.chunkBuckets = arena_kind == ArenaKind::Sparse
+                             ? 8
+                             : ArenaBackend::kDefaultChunkBuckets;
+    OramConfig cfg = configWithLevels(kLevels, z, kind, arena);
+    cfg.stashCapacity = z < 6 ? 8 : 2;
+    Twin ref(cfg), got(cfg);
+    SustainedCoverage seen;
+    char what[64];
+    std::snprintf(what, sizeof(what), "%s Z=%u %s",
+                  kind == SchemeKind::Ring ? "ring" : "path", z,
+                  arenaKindName(arena_kind));
+    if (cfg.levels() != kLevels) {
+        ADD_FAILURE() << what << ": tree depth " << cfg.levels();
+        return seen;
+    }
+
+    Rng rng(seed);
+    const std::uint64_t leaves = 1ULL << kLevels;
+    const auto randomLeaf = [&] {
+        return Leaf{static_cast<std::uint32_t>(rng.below(leaves))};
+    };
+    const std::uint64_t tree_slots = ((2ULL << kLevels) - 1) * z;
+    // Wider buckets absorb more before the stash backs up.
+    const std::uint64_t blocks = z == 1   ? tree_slots / 2
+                                 : z <= 3 ? tree_slots * 3 / 4
+                                 : z == 4 ? tree_slots * 13 / 16
+                                          : tree_slots * 7 / 8;
+    for (std::uint64_t k = 0; k < blocks; ++k) {
+        const Leaf leaf = randomLeaf();
+        const std::uint64_t data = rng.next();
+        for (Twin *t : {&ref, &got}) {
+            t->posMap.setLeaf(BlockId{k}, leaf);
+            t->scheme->placeInitial(BlockId{k}, data);
+        }
+    }
+
+    BinaryTree &rtree = ref.scheme->tree();
+    Stash &rstash = ref.scheme->stash();
+    const RingOram *ring = dynamic_cast<const RingOram *>(got.scheme.get());
+    const std::uint32_t ring_a = cfg.resolvedRingA();
+    std::uint64_t ring_accesses = 0;
+    std::uint64_t ring_evictions = 0;
+    // Reference scheduled eviction: drain the next reverse-lex path
+    // whole, then evict onto it.
+    const auto refScheduled = [&] {
+        const Leaf ev = ring->evictionLeafAt(ring_evictions++);
+        referenceDrain(rtree, rstash, ev);
+        referenceEvict(rtree, rstash, ev);
+        return ev;
+    };
+
+    expectSameState(ref, got, what);
+    for (std::uint32_t step = 0;
+         step < accesses && !::testing::Test::HasFailure(); ++step) {
+        const BlockId b{rng.below(blocks)};
+        const Leaf leaf = got.posMap.leafOf(b);
+        if (ring != nullptr)
+            referenceDrainOnLeaf(rtree, rstash, leaf);
+        else
+            referenceDrain(rtree, rstash, leaf);
+        got.scheme->readPath(leaf);
+        EXPECT_TRUE(got.scheme->stash().contains(b)) << what;
+
+        const Leaf fresh = randomLeaf();
+        for (Twin *t : {&ref, &got})
+            t->posMap.setLeaf(b, fresh);
+
+        if (ring != nullptr) {
+            if (++ring_accesses % ring_a == 0)
+                refScheduled();
+            else
+                rstash.sampleOccupancy();
+        } else {
+            referenceEvict(rtree, rstash, leaf);
+        }
+        got.scheme->writePath(leaf);
+
+        std::uint32_t background = 0;
+        while (got.scheme->stash().overCapacity()) {
+            Leaf expect_leaf;
+            if (ring != nullptr) {
+                expect_leaf = refScheduled();
+            } else {
+                expect_leaf = ref.scheme->randomLeaf();
+                referenceDrain(rtree, rstash, expect_leaf);
+                referenceEvict(rtree, rstash, expect_leaf);
+            }
+            EXPECT_EQ(got.scheme->dummyAccess(), expect_leaf) << what;
+            ++seen.backgroundEvictions;
+            if (++background > 10000) {
+                ADD_FAILURE() << what << ": background eviction stalled";
+                return seen;
+            }
+        }
+        EXPECT_FALSE(rstash.overCapacity()) << what;
+
+        if (extra_evictions && step % 7 == 3) {
+            const Leaf target = randomLeaf();
+            for (std::uint32_t l = 0; l <= kLevels; ++l) {
+                const std::uint32_t used = rtree.occupancy(
+                    rtree.nodeOnPath(target, Level{l}));
+                if (used != 0 && used != z) {
+                    ++seen.partialBucketFills;
+                    break;
+                }
+            }
+            referenceEvict(rtree, rstash, target);
+            got.scheme->writePath(target);
+        }
+        expectSameState(ref, got, what);
+    }
+    return seen;
+}
+
+class SustainedDifferential
+    : public ::testing::TestWithParam<std::tuple<SchemeKind, std::uint32_t>>
+{
+};
+
+TEST_P(SustainedDifferential, EveryAccessMatchesThePerSlotReference)
+{
+    const auto [kind, z] = GetParam();
+    // Alternate the arena backend across Z so both are driven.
+    const ArenaKind arena = z % 2 == 0 ? ArenaKind::Sparse : ArenaKind::Dense;
+    const SustainedCoverage seen =
+        runSustained(kind, z, arena, kind == SchemeKind::Path,
+                     900 + z * 10 + static_cast<std::uint64_t>(kind), 2000);
+    if (HasFailure())
+        return;
+    // The run must have exercised what it claims to cover.
+    EXPECT_GT(seen.backgroundEvictions, 0u);
+    if (kind == SchemeKind::Path && z > 1)
+        EXPECT_GT(seen.partialBucketFills, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SustainedDifferential,
+    ::testing::Combine(::testing::Values(SchemeKind::Path,
+                                         SchemeKind::Ring),
+                       ::testing::Values(1u, 2u, 3u, 4u, 6u)),
+    [](const auto &info) {
+        return std::string(schemeKindName(std::get<0>(info.param))) +
+               "_Z" + std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace proram

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace proram
 {
 namespace
@@ -180,6 +182,65 @@ TEST(Integrity, DetectsOversizedStridedGroup)
     }
     const auto rep = checkIntegrity(u);
     EXPECT_FALSE(rep.ok);
+}
+
+/** Run @p read, expect a SimPanic, and return its message. */
+template <typename Fn>
+std::string
+panicMessage(Fn &&read)
+{
+    try {
+        read();
+    } catch (const SimPanic &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "no SimPanic";
+    return {};
+}
+
+TEST(Integrity, ReadPathPanicsOnBlockDuplicatedBetweenTreeAndStash)
+{
+    // The engine's own check, not checkIntegrity's report: a path read
+    // that would bring a block already in the stash panics, naming it.
+    for (SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
+        OramConfig c = cfg();
+        c.scheme = kind;
+        UnifiedOram u(c);
+        u.initialize();
+        ASSERT_TRUE(findSlot(u, 9_id).found);
+        const Leaf leaf = u.posMap().leafOf(9_id);
+        ASSERT_TRUE(u.engine().stash().insert(9_id, 0, leaf));
+        const std::string msg =
+            panicMessage([&] { u.engine().readPath(leaf); });
+        EXPECT_NE(msg.find("block 9 duplicated between tree and stash"),
+                  std::string::npos)
+            << schemeKindName(kind) << ": " << msg;
+    }
+}
+
+TEST(Integrity, ReadPathPanicsOnTreeBlockOutsideTheIdSpace)
+{
+    // A slot header naming an id past the position map's range cannot
+    // enter the stash: the path read panics, naming the id.
+    for (SchemeKind kind : {SchemeKind::Path, SchemeKind::Ring}) {
+        OramConfig c = cfg();
+        c.scheme = kind;
+        UnifiedOram u(c);
+        u.initialize();
+        const BlockId bad{u.posMap().size()};
+        const Leaf leaf = u.posMap().leafOf(9_id);
+        BinaryTree &t = u.engine().tree();
+        bool planted = false;
+        for (Level l{0}; l <= t.leafLevel() && !planted; ++l)
+            planted = t.tryPlace(t.nodeOnPath(leaf, l), bad, leaf, 0);
+        ASSERT_TRUE(planted);
+        const std::string msg =
+            panicMessage([&] { u.engine().readPath(leaf); });
+        EXPECT_NE(msg.find("block " + std::to_string(bad.value()) +
+                           " outside the"),
+                  std::string::npos)
+            << schemeKindName(kind) << ": " << msg;
+    }
 }
 
 } // namespace

@@ -269,6 +269,60 @@ TEST(Stash, SoALanesStayDenseAndAligned)
     EXPECT_EQ(live, s.size());
 }
 
+TEST(Stash, TailWindowAppendsOnlyTheCommittedPrefix)
+{
+    // A path read writes candidates into the open window and commits
+    // the real ones; entries past the committed prefix are ignored.
+    // The window grows the lanes when it would run past their end.
+    Stash s(1, kIds);
+    ASSERT_TRUE(s.insert(3_id, 30, 3_leaf));
+    const Stash::Tail t = s.openTail(40);
+    for (std::uint64_t k = 0; k < 40; ++k) {
+        t.ids[k] = BlockId{k + 50};
+        t.leaves[k] = Leaf{static_cast<std::uint32_t>(k)};
+        t.data[k] = k * 11;
+    }
+    s.commitTail(25);
+    EXPECT_EQ(s.size(), 26u);
+    EXPECT_EQ(s.slotCount(), 26u);
+    EXPECT_TRUE(s.contains(74_id));
+    EXPECT_FALSE(s.contains(75_id));
+    EXPECT_EQ(s.leafOf(60_id), 10_leaf);
+    EXPECT_EQ(*s.findData(60_id), 110u);
+    EXPECT_EQ(s.residentIds().front(), 3_id);
+    // The commit is where the duplicate and id-range checks live.
+    const Stash::Tail dup = s.openTail(2);
+    dup.ids[0] = 3_id;
+    EXPECT_THROW(s.commitTail(1), SimPanic);
+    Stash r(4, kIds);
+    r.openTail(1).ids[0] = BlockId{kIds};
+    EXPECT_THROW(r.commitTail(1), SimPanic);
+}
+
+TEST(Stash, BulkReleaseMatchesPerSlotRelease)
+{
+    Stash a(8, kIds), b(8, kIds);
+    for (std::uint64_t k = 0; k < 20; ++k) {
+        for (Stash *s : {&a, &b})
+            s->insert(BlockId{k + 1}, k, Leaf{static_cast<std::uint32_t>(k)});
+    }
+    const std::vector<std::uint32_t> slots{17, 4, 9, 0, 12};
+    for (std::uint32_t slot : slots)
+        a.releaseSlot(slot);
+    b.releaseSlots(slots.data(), slots.size());
+    EXPECT_FALSE(b.compacted());
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_FALSE(b.contains(1_id));
+    EXPECT_FALSE(b.contains(18_id));
+    a.compact();
+    b.compact();
+    EXPECT_TRUE(b.compacted());
+    EXPECT_EQ(a.residentIds(), b.residentIds());
+    const std::uint32_t dead[] = {0};
+    b.releaseSlots(dead, 1);
+    EXPECT_THROW(b.releaseSlots(dead, 1), SimPanic);
+}
+
 TEST(Stash, UpdateLeafRefreshesResidentEntryOnly)
 {
     Stash s(4, kIds);
