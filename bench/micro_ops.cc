@@ -1,11 +1,12 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's primitive
- * operations: path read/write, pos-map walk, background eviction,
- * eviction with a near-full stash, full controller accesses per
- * scheme, policy bookkeeping, and the isolated memory-layout loops
- * (stash scan, PLB lookup, tree path touch) that the cache-conscious
- * containers target.
+ * operations: a remapping data access with background eviction,
+ * pos-map walk, eviction with a near-full stash, full controller
+ * accesses per scheme, the cache hierarchy and DRAM backend under the
+ * trace core, policy bookkeeping, and the isolated memory-layout
+ * loops (stash scan, PLB lookup, tree path touch) that the
+ * cache-conscious containers target.
  * These measure *simulator* throughput (host time), useful for
  * estimating experiment wall-clock budgets.
  */
@@ -15,6 +16,8 @@
 #include <vector>
 
 #include "core/oram_controller.hh"
+#include "cpu/trace_cpu.hh"
+#include "mem/dram_backend.hh"
 #include "obs/trace.hh"
 #include "sim/system.hh"
 #include "sim/system_config.hh"
@@ -46,23 +49,6 @@ microHier()
 }
 
 void
-BM_PathReadWrite(benchmark::State &state)
-{
-    UnifiedOram oram(microCfg());
-    oram.initialize();
-    OramScheme &engine = oram.engine();
-    Rng rng(1);
-    for (auto _ : state) {
-        const Leaf leaf = engine.randomLeaf();
-        engine.readPath(leaf);
-        engine.writePath(leaf);
-        benchmark::DoNotOptimize(engine.stash().size());
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PathReadWrite);
-
-void
 BM_EvictHighOccupancy(benchmark::State &state)
 {
     // One data access - read the block's path, remap the block, write
@@ -70,7 +56,7 @@ BM_EvictHighOccupancy(benchmark::State &state)
     // under capacity, on a tree full enough (Z = 2) that the stash
     // stays near capacity between accesses: the regime of the Ring
     // and static-super-block cells, where eviction's per-stash-block
-    // work dominates. BM_PathReadWrite runs with a near-empty stash.
+    // work dominates.
     OramConfig cfg = microCfg();
     cfg.z = 2;
     UnifiedOram oram(cfg);
@@ -106,12 +92,11 @@ BM_PathAccessRemap(benchmark::State &state)
     // which the perfbench dbms cells run (48 Ki data blocks, Z = 3,
     // L = 14, about 52% slot utilization): read the demanded block's
     // path, remap the block, write back, then background-evict while
-    // the stash is over capacity. Unlike BM_PathReadWrite, which
-    // remaps nothing and so keeps the stash near empty, the stash
-    // here holds tens of blocks, so the per-stash-block work of each
-    // path read and eviction pass is what this measures. (2^15 data
-    // blocks give the same depth at 34% utilization, where the stash
-    // stays near empty too.)
+    // the stash is over capacity. Every access remaps, so blocks
+    // spread over the tree as in a simulation, but the stash left
+    // after each eviction stays near empty (the stashMean counter
+    // reads about 1 block, where the dbms cells' oram.stash_occ_mean
+    // is about 50): the near-full regime is BM_EvictHighOccupancy's.
     OramConfig cfg = microCfg();
     cfg.numDataBlocks = 48 * 1024;
     cfg.z = 3;
@@ -138,17 +123,6 @@ BM_PathAccessRemap(benchmark::State &state)
     state.counters["stashMean"] = engine.stash().occupancy().mean();
 }
 BENCHMARK(BM_PathAccessRemap);
-
-void
-BM_BackgroundEviction(benchmark::State &state)
-{
-    UnifiedOram oram(microCfg());
-    oram.initialize();
-    for (auto _ : state)
-        oram.engine().dummyAccess();
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_BackgroundEviction);
 
 void
 BM_PosMapWalk(benchmark::State &state)
@@ -185,8 +159,8 @@ BM_ControllerAccess(benchmark::State &state)
         const BlockId b{rng.below(1ULL << 14)};
         now = ctl.demandAccess(now, b, OpType::Read);
         ctl.onDemandTouch(now, b);
-        for (const auto &v : hier.fillFromMemory(b, false))
-            ctl.writebackAccess(now, v.block);
+        if (const auto v = hier.fillFromMemory(b, false))
+            ctl.writebackAccess(now, v->block);
     }
     state.SetItemsProcessed(state.iterations());
     state.SetLabel(schemeName(scheme));
@@ -372,6 +346,42 @@ BM_BatchedDrive(benchmark::State &state)
 BENCHMARK(BM_BatchedDrive)->Arg(1)->Arg(64);
 
 void
+BM_CacheHierarchyDrive(benchmark::State &state)
+{
+    // A dram_baseline cell without the System around it: the trace
+    // core over the Table 1 L1 + LLC and a DramBackend, without
+    // (Arg 0, scheme dram) or with (Arg 1, dram_pre) the stream
+    // prefetcher and its buffer. No ORAM code runs, so this times the
+    // per-reference cache, prefetcher and prefetch-buffer work.
+    const bool prefetch = state.range(0) != 0;
+    const SystemConfig sys = defaultSystemConfig();
+    DramBackendConfig dcfg = sys.dram;
+    dcfg.prefetch = prefetch;
+    std::vector<TraceRecord> records;
+    {
+        auto gen = makeGenerator(profileByName("ocean_c"), 0.05);
+        TraceRecord rec;
+        while (gen->next(rec))
+            records.push_back(rec);
+    }
+    std::uint64_t refs = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        CacheHierarchy hier(sys.hierarchy);
+        DramBackend backend(dcfg);
+        TraceCpu cpu(hier, backend, sys.hierarchy.l1.lineBytes);
+        ReplayGenerator replay(records);
+        state.ResumeTiming();
+        const CpuRunResult r = cpu.run(replay);
+        benchmark::DoNotOptimize(r.cycles);
+        refs += r.references;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
+    state.SetLabel(prefetch ? "dram_pre" : "dram");
+}
+BENCHMARK(BM_CacheHierarchyDrive)->Arg(0)->Arg(1);
+
+void
 BM_TraceOverhead(benchmark::State &state)
 {
     // The <=2% compiled-in-but-idle budget (ISSUE acceptance): run
@@ -399,8 +409,8 @@ BM_TraceOverhead(benchmark::State &state)
         const BlockId b{rng.below(1ULL << 14)};
         now = ctl.demandAccess(now, b, OpType::Read);
         ctl.onDemandTouch(now, b);
-        for (const auto &v : hier.fillFromMemory(b, false))
-            ctl.writebackAccess(now, v.block);
+        if (const auto v = hier.fillFromMemory(b, false))
+            ctl.writebackAccess(now, v->block);
     }
 #if PRORAM_TRACE_ENABLED
     sink.setEnabled(was_enabled);

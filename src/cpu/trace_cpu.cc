@@ -68,9 +68,9 @@ TraceCpu::run(TraceGenerator &gen)
                     cycle + hierarchy_.hitLatency(HitLevel::L2);
                 cycle = backend_.demandAccess(issue, block, rec.op);
                 backend_.onDemandTouch(cycle, block);
-                for (const EvictedLine &v : hierarchy_.fillFromMemory(
-                         block, rec.op == OpType::Write)) {
-                    backend_.writebackAccess(cycle, v.block);
+                if (const auto v = hierarchy_.fillFromMemory(
+                        block, rec.op == OpType::Write)) {
+                    backend_.writebackAccess(cycle, v->block);
                     ++writebacks;
                 }
                 break;

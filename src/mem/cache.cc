@@ -1,14 +1,22 @@
 #include "mem/cache.hh"
 
-#include <algorithm>
-
+#include "util/annotations.hh"
 #include "util/bits.hh"
 #include "util/logging.hh"
 
 namespace proram
 {
 
-SetAssocCache::SetAssocCache(const CacheConfig &cfg) : cfg_(cfg)
+namespace
+{
+
+/** Stamp of a low-priority (prefetch) line: below every demand line. */
+constexpr std::uint64_t kLowPriorityStamp = 1;
+
+} // namespace
+
+SetAssocCache::SetAssocCache(const CacheConfig &cfg)
+    : cfg_(cfg), ways_(cfg.ways)
 {
     fatal_if(cfg.lineBytes == 0 || !isPowerOf2(cfg.lineBytes),
              "cache line size must be a power of two");
@@ -16,100 +24,112 @@ SetAssocCache::SetAssocCache(const CacheConfig &cfg) : cfg_(cfg)
     fatal_if(cfg.sizeBytes % (static_cast<std::uint64_t>(cfg.ways) *
                               cfg.lineBytes) != 0,
              "cache size must be a multiple of ways * lineBytes");
-    numSets_ = cfg.numSets();
-    fatal_if(numSets_ == 0, "cache has zero sets");
-    fatal_if(!isPowerOf2(numSets_), "number of sets must be a power of 2");
-    lines_.resize(numSets_ * cfg.ways);
+    const std::uint64_t num_sets = cfg.numSets();
+    fatal_if(num_sets == 0, "cache has zero sets");
+    fatal_if(!isPowerOf2(num_sets), "number of sets must be a power of 2");
+    setMask_ = num_sets - 1;
+    setWords_ = 3 * static_cast<std::uint64_t>(ways_);
+    // One allocation, filled once: every way starts invalid.
+    words_.assign(num_sets * setWords_, 0);
 }
 
 std::uint64_t
-SetAssocCache::setIndex(BlockId block) const
+SetAssocCache::tagOf(BlockId block)
 {
-    return block.value() & (numSets_ - 1);
+    // kInvalidBlock + 1 would wrap to 0 and match an invalid way.
+    panic_if(block == kInvalidBlock, "cache lookup of kInvalidBlock");
+    return block.value() + 1;
 }
 
-SetAssocCache::Line *
-SetAssocCache::findLine(BlockId block)
+std::uint32_t
+SetAssocCache::findWay(const std::uint64_t *set, std::uint64_t tag) const
 {
-    const std::uint64_t base = setIndex(block) * cfg_.ways;
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &l = lines_[base + w];
-        if (l.valid && l.block == block)
-            return &l;
-    }
-    return nullptr;
+    std::uint32_t way = ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w)
+        way = set[w] == tag ? w : way;
+    return way;
 }
 
-const SetAssocCache::Line *
-SetAssocCache::findLine(BlockId block) const
+std::uint32_t
+SetAssocCache::leastWay(const std::uint64_t *stamps) const
 {
-    return const_cast<SetAssocCache *>(this)->findLine(block);
+    std::uint32_t victim = 0;
+    for (std::uint32_t w = 1; w < ways_; ++w)
+        victim = stamps[w] < stamps[victim] ? w : victim;
+    return victim;
 }
 
-bool
+PRORAM_HOT bool
 SetAssocCache::access(BlockId block, OpType op)
 {
-    Line *l = findLine(block);
-    if (!l) {
+    std::uint64_t *set = setOf(block);
+    const std::uint32_t way = findWay(set, tagOf(block));
+    if (way == ways_) {
         ++misses_;
         return false;
     }
     ++hits_;
-    l->lruStamp = ++lruClock_;
-    if (op == OpType::Write)
-        l->dirty = true;
+    set[ways_ + way] = nextStamp();
+    set[2 * ways_ + way] |= op == OpType::Write;
     return true;
 }
 
 bool
 SetAssocCache::probe(BlockId block) const
 {
-    return findLine(block) != nullptr;
+    return findWay(setOf(block), tagOf(block)) != ways_;
 }
 
 void
 SetAssocCache::markDirty(BlockId block)
 {
-    if (Line *l = findLine(block))
-        l->dirty = true;
+    std::uint64_t *set = setOf(block);
+    const std::uint32_t way = findWay(set, tagOf(block));
+    if (way != ways_)
+        set[2 * ways_ + way] = 1;
 }
 
-std::optional<EvictedLine>
+PRORAM_HOT std::optional<EvictedLine>
 SetAssocCache::insert(BlockId block, bool dirty, bool low_priority)
 {
-    if (Line *l = findLine(block)) {
+    const std::uint64_t tag = tagOf(block);
+    std::uint64_t *tags = setOf(block);
+    std::uint64_t *stamps = tags + ways_;
+    std::uint64_t *dirties = stamps + ways_;
+
+    // One pass finds both the way already holding the block and the
+    // victim: the first way with the smallest stamp, i.e. the first
+    // invalid way (stamp 0) if any, else the least recently used.
+    std::uint32_t hit = ways_;
+    std::uint32_t victim = 0;
+    std::uint64_t least = stamps[0];
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+        hit = tags[w] == tag ? w : hit;
+        const bool lower = stamps[w] < least;
+        least = lower ? stamps[w] : least;
+        victim = lower ? w : victim;
+    }
+
+    if (hit != ways_) {
         // Re-insertion of a resident line just refreshes state.
-        l->dirty = l->dirty || dirty;
+        dirties[hit] |= dirty;
         if (!low_priority)
-            l->lruStamp = ++lruClock_;
+            stamps[hit] = nextStamp();
         return std::nullopt;
     }
 
-    const std::uint64_t base = setIndex(block) * cfg_.ways;
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &l = lines_[base + w];
-        if (!l.valid) {
-            victim = &l;
-            break;
-        }
-        if (!victim || l.lruStamp < victim->lruStamp)
-            victim = &l;
-    }
-
     std::optional<EvictedLine> evicted;
-    if (victim->valid) {
-        evicted = EvictedLine{victim->block, victim->dirty};
-        if (victim->dirty)
-            ++dirtyEvictions_;
+    if (tags[victim] != 0) {
+        evicted = EvictedLine{BlockId{tags[victim] - 1},
+                              dirties[victim] != 0};
+        dirtyEvictions_ += dirties[victim];
     }
 
-    victim->block = block;
-    victim->valid = true;
-    victim->dirty = dirty;
+    tags[victim] = tag;
+    dirties[victim] = dirty;
     // Low-priority (prefetch) insertions take the LRU position: they
     // are the set's next victim unless a demand hit promotes them.
-    victim->lruStamp = low_priority ? 0 : ++lruClock_;
+    stamps[victim] = low_priority ? kLowPriorityStamp : nextStamp();
     return evicted;
 }
 
@@ -118,37 +138,36 @@ SetAssocCache::peekVictim(BlockId block) const
 {
     if (probe(block))
         return std::nullopt;
-    const std::uint64_t base = setIndex(block) * cfg_.ways;
-    const Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        const Line &l = lines_[base + w];
-        if (!l.valid)
-            return std::nullopt;
-        if (!victim || l.lruStamp < victim->lruStamp)
-            victim = &l;
-    }
-    return EvictedLine{victim->block, victim->dirty};
+    const std::uint64_t *tags = setOf(block);
+    const std::uint64_t *stamps = tags + ways_;
+    const std::uint32_t victim = leastWay(stamps);
+    if (stamps[victim] == 0)
+        return std::nullopt;
+    return EvictedLine{BlockId{tags[victim] - 1},
+                       stamps[ways_ + victim] != 0};
 }
 
 std::optional<bool>
 SetAssocCache::peekDirty(BlockId block) const
 {
-    const Line *l = findLine(block);
-    if (!l)
+    const std::uint64_t *set = setOf(block);
+    const std::uint32_t way = findWay(set, tagOf(block));
+    if (way == ways_)
         return std::nullopt;
-    return l->dirty;
+    return set[2 * ways_ + way] != 0;
 }
 
 std::optional<bool>
 SetAssocCache::invalidate(BlockId block)
 {
-    Line *l = findLine(block);
-    if (!l)
+    std::uint64_t *set = setOf(block);
+    const std::uint32_t way = findWay(set, tagOf(block));
+    if (way == ways_)
         return std::nullopt;
-    l->valid = false;
-    const bool was_dirty = l->dirty;
-    l->dirty = false;
-    l->block = kInvalidBlock;
+    const bool was_dirty = set[2 * ways_ + way] != 0;
+    set[way] = 0;
+    set[ways_ + way] = 0;
+    set[2 * ways_ + way] = 0;
     return was_dirty;
 }
 
@@ -156,9 +175,11 @@ std::vector<BlockId>
 SetAssocCache::residentBlocks() const
 {
     std::vector<BlockId> out;
-    for (const Line &l : lines_) {
-        if (l.valid)
-            out.push_back(l.block);
+    for (std::uint64_t base = 0; base < words_.size(); base += setWords_) {
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (words_[base + w] != 0)
+                out.push_back(BlockId{words_[base + w] - 1});
+        }
     }
     return out;
 }

@@ -6,6 +6,11 @@
  * divided by the line size); the CPU front end does the conversion.
  * The cache stores no data payloads - the simulator's functional data
  * lives in the ORAM/DRAM backends - only tags and state bits.
+ *
+ * Layout: one set-major array of 64-bit words. Each set is `ways`
+ * tags, then `ways` LRU stamps, then `ways` dirty words. A tag is
+ * `block + 1` and a valid line's stamp is at least 1, so an all-zero
+ * way is an invalid one and zero-filling the array empties the cache.
  */
 
 #ifndef PRORAM_MEM_CACHE_HH
@@ -98,21 +103,38 @@ class SetAssocCache
     std::vector<BlockId> residentBlocks() const;
 
   private:
-    struct Line
+    /** First word of @p block's set (its tags). */
+    std::uint64_t *setOf(BlockId block)
     {
-        BlockId block = kInvalidBlock;
-        bool valid = false;
-        bool dirty = false;
-        std::uint64_t lruStamp = 0;
-    };
+        return words_.data() + (block.value() & setMask_) * setWords_;
+    }
+    const std::uint64_t *setOf(BlockId block) const
+    {
+        return words_.data() + (block.value() & setMask_) * setWords_;
+    }
 
-    std::uint64_t setIndex(BlockId block) const;
-    Line *findLine(BlockId block);
-    const Line *findLine(BlockId block) const;
+    /** Stored tag of @p block; 0 is left to mark an invalid way. */
+    static std::uint64_t tagOf(BlockId block);
+
+    /** Way of @p set holding @p tag, or ways_ if none does. */
+    std::uint32_t findWay(const std::uint64_t *set,
+                          std::uint64_t tag) const;
+
+    /**
+     * The replacement victim among @p stamps: the first way with the
+     * smallest stamp, which is the first invalid way if there is one.
+     */
+    std::uint32_t leastWay(const std::uint64_t *stamps) const;
+
+    /** Stamp of a line made most recently used. */
+    std::uint64_t nextStamp() { return ++lruClock_ + 1; }
 
     CacheConfig cfg_;
-    std::uint64_t numSets_;
-    std::vector<Line> lines_;
+    std::uint32_t ways_ = 0;
+    std::uint64_t setMask_ = 0;
+    /** Words per set: ways tags, ways stamps, ways dirty words. */
+    std::uint64_t setWords_ = 0;
+    std::vector<std::uint64_t> words_;
     std::uint64_t lruClock_ = 0;
 
     stats::Counter hits_;

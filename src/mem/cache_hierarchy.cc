@@ -1,5 +1,6 @@
 #include "mem/cache_hierarchy.hh"
 
+#include "util/annotations.hh"
 #include "util/logging.hh"
 
 namespace proram
@@ -12,7 +13,7 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig &cfg)
              "L1 and LLC must share a line size");
 }
 
-HitLevel
+PRORAM_HOT HitLevel
 CacheHierarchy::lookup(BlockId block, OpType op)
 {
     if (l1_.access(block, op))
@@ -41,21 +42,21 @@ CacheHierarchy::reconcileVictim(const EvictedLine &victim)
     return out;
 }
 
-std::vector<EvictedLine>
+PRORAM_HOT std::optional<EvictedLine>
 CacheHierarchy::fillFromMemory(BlockId block, bool dirty)
 {
-    std::vector<EvictedLine> writebacks;
+    std::optional<EvictedLine> writeback;
 
     if (auto l2_victim = l2_.insert(block, dirty)) {
-        EvictedLine v = reconcileVictim(*l2_victim);
+        const EvictedLine v = reconcileVictim(*l2_victim);
         if (v.dirty)
-            writebacks.push_back(v);
+            writeback = v;
     }
     if (auto l1_victim = l1_.insert(block, dirty)) {
         if (l1_victim->dirty)
             l2_.markDirty(l1_victim->block);
     }
-    return writebacks;
+    return writeback;
 }
 
 bool
@@ -89,20 +90,6 @@ bool
 CacheHierarchy::probeLlc(BlockId block) const
 {
     return l2_.probe(block);
-}
-
-Cycles
-CacheHierarchy::hitLatency(HitLevel level) const
-{
-    switch (level) {
-      case HitLevel::L1:
-        return cfg_.l1Latency;
-      case HitLevel::L2:
-        return cfg_.l1Latency + cfg_.l2Latency;
-      case HitLevel::Miss:
-        return Cycles{0};
-    }
-    panic("unreachable hit level");
 }
 
 stats::StatGroup

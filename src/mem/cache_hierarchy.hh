@@ -8,10 +8,12 @@
 #ifndef PRORAM_MEM_CACHE_HIERARCHY_HH
 #define PRORAM_MEM_CACHE_HIERARCHY_HH
 
+#include <optional>
 #include <vector>
 
 #include "mem/cache.hh"
 #include "stats/stats.hh"
+#include "util/logging.hh"
 #include "util/types.hh"
 
 namespace proram
@@ -47,9 +49,10 @@ class CacheHierarchy
 
     /**
      * Install a demand-fetched line in both levels.
-     * @return LLC victims that must be written back (dirty only).
+     * @return the LLC victim if it must be written back (dirty only);
+     *         a fill evicts at most one LLC line.
      */
-    std::vector<EvictedLine> fillFromMemory(BlockId block, bool dirty);
+    std::optional<EvictedLine> fillFromMemory(BlockId block, bool dirty);
 
     /**
      * Install a prefetched line in the LLC only. A prefetch never
@@ -66,7 +69,18 @@ class CacheHierarchy
     bool probeLlc(BlockId block) const;
 
     /** Latency of a hit at the given level. */
-    Cycles hitLatency(HitLevel level) const;
+    Cycles hitLatency(HitLevel level) const
+    {
+        switch (level) {
+          case HitLevel::L1:
+            return cfg_.l1Latency;
+          case HitLevel::L2:
+            return cfg_.l1Latency + cfg_.l2Latency;
+          case HitLevel::Miss:
+            return Cycles{0};
+        }
+        panic("unreachable hit level");
+    }
 
     const SetAssocCache &l1() const { return l1_; }
     const SetAssocCache &llc() const { return l2_; }

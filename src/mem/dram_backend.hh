@@ -11,7 +11,7 @@
 
 #include <deque>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/backend.hh"
 #include "mem/dram.hh"
@@ -44,15 +44,38 @@ class DramBackend : public MemBackend
     std::uint64_t prefetchBufferHits() const { return bufferHits_; }
     const StreamPrefetcher *prefetcher() const { return pf_.get(); }
 
+    /** Entries of the buffer's FIFO, stale ones included (tests). */
+    std::size_t prefetchFifoLength() const { return bufferFifo_.size(); }
+
   private:
+    /** A prefetched line and the cycle its data is ready. */
+    struct BufferEntry
+    {
+        BlockId block = kInvalidBlock;
+        Cycles ready{0};
+    };
+
     void issuePrefetches(Cycles now, BlockId trigger);
+    /** Index of @p block in the buffer, or bufferSize_ if absent. */
+    std::size_t findBuffered(BlockId block) const;
+    /** Drop entry @p i; the last entry takes its place. */
+    void removeBuffered(std::size_t i);
 
     DramBackendConfig cfg_;
     DramModel dram_;
     std::unique_ptr<StreamPrefetcher> pf_;
 
-    /** Prefetched line -> data-ready cycle. */
-    std::unordered_map<BlockId, Cycles> buffer_;
+    /**
+     * The prefetch buffer: bufferSize_ live entries in any order, at
+     * most max(bufferLines, 1), each block at most once.
+     */
+    std::vector<BufferEntry> buffer_;
+    std::size_t bufferSize_ = 0;
+    /**
+     * Insertion order for replacement. A demand hit leaves its entry
+     * here (stale); an entry erases whatever copy of its block is
+     * buffered when it reaches the front of a full buffer.
+     */
     std::deque<BlockId> bufferFifo_;
     std::uint64_t bufferHits_ = 0;
 };

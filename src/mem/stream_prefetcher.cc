@@ -1,12 +1,13 @@
 #include "mem/stream_prefetcher.hh"
 
+#include "util/annotations.hh"
 #include "util/logging.hh"
 
 namespace proram
 {
 
 StreamPrefetcher::StreamPrefetcher(const PrefetcherConfig &cfg)
-    : cfg_(cfg), streams_(cfg.numStreams)
+    : cfg_(cfg), streams_(cfg.numStreams), candidates_(cfg.degree)
 {
     fatal_if(cfg.numStreams == 0, "prefetcher needs at least one stream");
     fatal_if(cfg.degree == 0, "prefetch degree must be at least 1");
@@ -50,16 +51,14 @@ StreamPrefetcher::allocateStream(BlockId block)
     return *victim;
 }
 
-std::vector<BlockId>
+PRORAM_HOT std::span<const BlockId>
 StreamPrefetcher::observe(BlockId block)
 {
-    std::vector<BlockId> out;
-
     int direction = 0;
     Stream *s = findStream(block, &direction);
     if (!s) {
         allocateStream(block);
-        return out;
+        return {};
     }
 
     s->lruStamp = ++lruClock_;
@@ -79,12 +78,13 @@ StreamPrefetcher::observe(BlockId block)
         ++trained_;
     }
     if (!s->trained)
-        return out;
+        return {};
 
     // Run the frontier up to `distance` blocks ahead of the demand
     // stream, issuing at most `degree` prefetches per trigger.
     const std::int64_t dir = s->direction;
-    for (std::uint32_t i = 0; i < cfg_.degree; ++i) {
+    std::size_t n = 0;
+    for (; n < cfg_.degree; ++n) {
         const std::int64_t ahead =
             dir * (static_cast<std::int64_t>(s->frontier.value()) -
                    static_cast<std::int64_t>(block.value()));
@@ -95,10 +95,10 @@ StreamPrefetcher::observe(BlockId block)
         if (next < 0)
             break;
         s->frontier = BlockId{static_cast<std::uint64_t>(next)};
-        out.push_back(s->frontier);
+        candidates_[n] = s->frontier;
         ++issued_;
     }
-    return out;
+    return {candidates_.data(), n};
 }
 
 } // namespace proram

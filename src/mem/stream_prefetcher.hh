@@ -15,6 +15,7 @@
 #define PRORAM_MEM_STREAM_PREFETCHER_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stats/stats.hh"
@@ -48,9 +49,11 @@ class StreamPrefetcher
     /**
      * Observe a demand access that reached memory (LLC miss) or hit a
      * previously prefetched block.
-     * @return block ids the prefetcher wants fetched, nearest first.
+     * @return block ids the prefetcher wants fetched, nearest first:
+     *         a view of a member buffer of `degree` ids, valid until
+     *         the next call.
      */
-    std::vector<BlockId> observe(BlockId block);
+    std::span<const BlockId> observe(BlockId block);
 
     std::uint64_t issued() const { return issued_.value(); }
     std::uint64_t streamsTrained() const { return trained_.value(); }
@@ -74,6 +77,8 @@ class StreamPrefetcher
 
     PrefetcherConfig cfg_;
     std::vector<Stream> streams_;
+    /** Candidates of the last observe(); sized from cfg_.degree. */
+    std::vector<BlockId> candidates_;
     std::uint64_t lruClock_ = 0;
 
     stats::Counter issued_;

@@ -97,11 +97,11 @@ SecureMemory::accessOne(Addr addr, OpType op, std::uint64_t value,
         shadow_[block] = value;
     }
 
-    for (const EvictedLine &v : hierarchy_->fillFromMemory(
-             block, op == OpType::Write)) {
-        auto it = shadow_.find(v.block);
+    if (const auto v =
+            hierarchy_->fillFromMemory(block, op == OpType::Write)) {
+        auto it = shadow_.find(v->block);
         controller_->writebackWithData(
-            cycle_, v.block, it == shadow_.end() ? 0 : it->second);
+            cycle_, v->block, it == shadow_.end() ? 0 : it->second);
         ++counts.writebacks;
     }
 

@@ -18,12 +18,6 @@ splitMix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -35,22 +29,6 @@ Rng::Rng(std::uint64_t seed)
     // seed cannot produce four zero outputs in a row, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
 }
 
 std::uint64_t
@@ -76,22 +54,6 @@ Rng::inRange(std::uint64_t lo, std::uint64_t hi)
 {
     panic_if(lo > hi, "Rng::inRange with lo > hi");
     return lo + below(hi - lo + 1);
-}
-
-double
-Rng::real()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return real() < p;
 }
 
 } // namespace proram

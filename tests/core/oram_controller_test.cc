@@ -283,9 +283,9 @@ TEST(Controller, IntegrityAfterMixedWorkload)
                 rng.chance(0.3) ? OpType::Write : OpType::Read;
             t = f.ctl.demandAccess(t, b, op);
             f.ctl.onDemandTouch(t, b);
-            for (const auto &v : f.hier.fillFromMemory(
-                     b, op == OpType::Write)) {
-                f.ctl.writebackAccess(t, v.block);
+            if (const auto v = f.hier.fillFromMemory(
+                    b, op == OpType::Write)) {
+                f.ctl.writebackAccess(t, v->block);
             }
         }
         const auto rep = checkIntegrity(f.ctl.oram());

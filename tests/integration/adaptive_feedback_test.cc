@@ -49,9 +49,9 @@ struct Rig
                 rng.chance(0.5) ? OpType::Write : OpType::Read;
             t = ctl->demandAccess(t, b, op);
             ctl->onDemandTouch(t, b);
-            for (const auto &v :
-                 hier->fillFromMemory(b, op == OpType::Write))
-                ctl->writebackAccess(t, v.block);
+            if (const auto v =
+                    hier->fillFromMemory(b, op == OpType::Write))
+                ctl->writebackAccess(t, v->block);
             maxMergeThr = std::max(maxMergeThr,
                                    policy->mergeThreshold(1));
             maxBreakThr = std::max(maxBreakThr,

@@ -54,9 +54,9 @@ TEST(Hierarchy, DirtyLlcVictimReportedForWriteback)
     h.fillFromMemory(0_id, true);
     h.fillFromMemory(4_id, false);
     auto wb = h.fillFromMemory(8_id, false);
-    ASSERT_EQ(wb.size(), 1u);
-    EXPECT_EQ(wb[0].block, 0_id);
-    EXPECT_TRUE(wb[0].dirty);
+    ASSERT_TRUE(wb.has_value());
+    EXPECT_EQ(wb->block, 0_id);
+    EXPECT_TRUE(wb->dirty);
 }
 
 TEST(Hierarchy, CleanVictimsProduceNoWriteback)
@@ -65,7 +65,7 @@ TEST(Hierarchy, CleanVictimsProduceNoWriteback)
     h.fillFromMemory(0_id, false);
     h.fillFromMemory(4_id, false);
     auto wb = h.fillFromMemory(8_id, false);
-    EXPECT_TRUE(wb.empty());
+    EXPECT_FALSE(wb.has_value());
 }
 
 TEST(Hierarchy, InclusionBackInvalidatesL1)
@@ -87,9 +87,9 @@ TEST(Hierarchy, L1DirtinessSurvivesLlcEviction)
     h.lookup(0_id, OpType::Write); // dirty in L1 only
     h.fillFromMemory(4_id, false);
     auto wb = h.fillFromMemory(8_id, false); // evicts 0 from LLC
-    ASSERT_EQ(wb.size(), 1u);
-    EXPECT_EQ(wb[0].block, 0_id);
-    EXPECT_TRUE(wb[0].dirty) << "L1 dirty bit lost on back-invalidate";
+    ASSERT_TRUE(wb.has_value());
+    EXPECT_EQ(wb->block, 0_id);
+    EXPECT_TRUE(wb->dirty) << "L1 dirty bit lost on back-invalidate";
 }
 
 TEST(Hierarchy, InsertPrefetchGoesToLlcOnly)

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "util/logging.hh"
+#include "util/random.hh"
 
 namespace proram
 {
@@ -223,6 +226,244 @@ TEST_P(CacheFillParam, CapacityNeverExceeded)
 
 INSTANTIATE_TEST_SUITE_P(Ways, CacheFillParam,
                          ::testing::Values(1u, 2u, 4u, 8u));
+
+TEST(Cache, KInvalidBlockIsRejected)
+{
+    // Tags are stored as block + 1; kInvalidBlock would wrap to the
+    // invalid-way tag 0, so every entry point refuses it.
+    SetAssocCache c(tiny());
+    EXPECT_THROW(c.insert(kInvalidBlock, false), SimPanic);
+    EXPECT_THROW(c.access(kInvalidBlock, OpType::Read), SimPanic);
+    EXPECT_THROW(c.probe(kInvalidBlock), SimPanic);
+}
+
+/**
+ * Reference model: the array-of-lines cache the set-major layout
+ * replaced. One {block, valid, dirty, stamp} record per way, a lookup
+ * scan, then a separate victim scan that takes the first invalid way,
+ * else the first way with the smallest stamp; low-priority lines get
+ * stamp 0.
+ */
+class LineCache
+{
+  public:
+    LineCache(std::uint32_t ways, std::uint64_t sets)
+        : ways_(ways), sets_(sets), lines_(ways * sets)
+    {
+    }
+
+    bool access(BlockId block, OpType op)
+    {
+        Line *l = find(block);
+        if (!l) {
+            ++misses;
+            return false;
+        }
+        ++hits;
+        l->stamp = ++clock_;
+        if (op == OpType::Write)
+            l->dirty = true;
+        return true;
+    }
+
+    bool probe(BlockId block) { return find(block) != nullptr; }
+
+    void markDirty(BlockId block)
+    {
+        if (Line *l = find(block))
+            l->dirty = true;
+    }
+
+    std::optional<EvictedLine> insert(BlockId block, bool dirty,
+                                      bool low_priority)
+    {
+        if (Line *l = find(block)) {
+            l->dirty = l->dirty || dirty;
+            if (!low_priority)
+                l->stamp = ++clock_;
+            return std::nullopt;
+        }
+        Line *victim = victimOf(block);
+        std::optional<EvictedLine> evicted;
+        if (victim->valid) {
+            evicted = EvictedLine{victim->block, victim->dirty};
+            if (victim->dirty)
+                ++dirtyEvictions;
+        }
+        *victim = Line{block, true, dirty,
+                       low_priority ? 0 : ++clock_};
+        return evicted;
+    }
+
+    std::optional<bool> invalidate(BlockId block)
+    {
+        Line *l = find(block);
+        if (!l)
+            return std::nullopt;
+        const bool was_dirty = l->dirty;
+        l->valid = false;
+        l->dirty = false;
+        l->block = kInvalidBlock;
+        return was_dirty;
+    }
+
+    std::optional<EvictedLine> peekVictim(BlockId block)
+    {
+        if (probe(block))
+            return std::nullopt;
+        const Line *victim = victimOf(block);
+        if (!victim->valid)
+            return std::nullopt;
+        return EvictedLine{victim->block, victim->dirty};
+    }
+
+    std::optional<bool> peekDirty(BlockId block)
+    {
+        const Line *l = find(block);
+        if (!l)
+            return std::nullopt;
+        return l->dirty;
+    }
+
+    std::vector<BlockId> residentBlocks() const
+    {
+        std::vector<BlockId> out;
+        for (const Line &l : lines_) {
+            if (l.valid)
+                out.push_back(l.block);
+        }
+        return out;
+    }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t dirtyEvictions = 0;
+
+  private:
+    struct Line
+    {
+        BlockId block = kInvalidBlock;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t stamp = 0;
+    };
+
+    Line *base(BlockId block)
+    {
+        return &lines_[(block.value() & (sets_ - 1)) * ways_];
+    }
+
+    Line *find(BlockId block)
+    {
+        Line *set = base(block);
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (set[w].valid && set[w].block == block)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    Line *victimOf(BlockId block)
+    {
+        Line *set = base(block);
+        Line *victim = nullptr;
+        for (std::uint32_t w = 0; w < ways_; ++w) {
+            if (!set[w].valid)
+                return &set[w];
+            if (!victim || set[w].stamp < victim->stamp)
+                victim = &set[w];
+        }
+        return victim;
+    }
+
+    std::uint32_t ways_;
+    std::uint64_t sets_;
+    std::vector<Line> lines_;
+    std::uint64_t clock_ = 0;
+};
+
+void
+expectSameLine(const std::optional<EvictedLine> &got,
+               const std::optional<EvictedLine> &want, int step)
+{
+    ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+    if (want) {
+        EXPECT_EQ(got->block, want->block) << "step " << step;
+        EXPECT_EQ(got->dirty, want->dirty) << "step " << step;
+    }
+}
+
+class CacheDifferential : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(CacheDifferential, MatchesTheLineArrayReference)
+{
+    // Seeded random access / insert (demand and low-priority) /
+    // markDirty / invalidate / probe / peek sequences over a block
+    // range of about three lines per way, so sets stay full and
+    // every replacement path runs, including ties among several
+    // low-priority lines.
+    const std::uint32_t ways = GetParam();
+    constexpr std::uint64_t kSets = 4;
+    constexpr int kSteps = 20000;
+    SetAssocCache cache(tiny(ways, kSets));
+    LineCache ref(ways, kSets);
+    Rng rng(1000 + ways);
+    const std::uint64_t span = 3 * ways * kSets;
+
+    for (int step = 0; step < kSteps; ++step) {
+        const BlockId b{rng.below(span)};
+        switch (rng.below(8)) {
+          case 0:
+          case 1: {
+            const OpType op =
+                rng.chance(0.3) ? OpType::Write : OpType::Read;
+            ASSERT_EQ(cache.access(b, op), ref.access(b, op))
+                << "step " << step;
+            break;
+          }
+          case 2:
+          case 3: {
+            const bool dirty = rng.chance(0.3);
+            const bool low = rng.chance(0.4);
+            expectSameLine(cache.insert(b, dirty, low),
+                           ref.insert(b, dirty, low), step);
+            break;
+          }
+          case 4:
+            cache.markDirty(b);
+            ref.markDirty(b);
+            break;
+          case 5:
+            ASSERT_EQ(cache.invalidate(b), ref.invalidate(b))
+                << "step " << step;
+            break;
+          case 6:
+            ASSERT_EQ(cache.probe(b), ref.probe(b)) << "step " << step;
+            ASSERT_EQ(cache.peekDirty(b), ref.peekDirty(b))
+                << "step " << step;
+            break;
+          default:
+            expectSameLine(cache.peekVictim(b), ref.peekVictim(b), step);
+            break;
+        }
+        if (HasFatalFailure())
+            return;
+        if (step % 97 == 0) {
+            ASSERT_EQ(cache.residentBlocks(), ref.residentBlocks())
+                << "step " << step;
+        }
+    }
+    EXPECT_EQ(cache.residentBlocks(), ref.residentBlocks());
+    EXPECT_EQ(cache.hits(), ref.hits);
+    EXPECT_EQ(cache.misses(), ref.misses);
+    EXPECT_EQ(cache.dirtyEvictions(), ref.dirtyEvictions);
+    EXPECT_GT(ref.dirtyEvictions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ways, CacheDifferential,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u));
 
 } // namespace
 } // namespace proram

@@ -66,10 +66,8 @@ struct Observer
         const Leaf leaf = ctl.oram().posMap().leafOf(b);
         now = ctl.demandAccess(now, b, OpType::Read);
         ctl.onDemandTouch(now, b);
-        for (const auto &v :
-             hier.fillFromMemory(b, false)) {
-            ctl.writebackAccess(now, v.block);
-        }
+        if (const auto v = hier.fillFromMemory(b, false))
+            ctl.writebackAccess(now, v->block);
         return leaf;
     }
 

@@ -113,6 +113,17 @@ class ClockScope(unittest.TestCase):
         self.assertEqual(len(rand), 1)
 
 
+class HotPathScope(unittest.TestCase):
+    """The unordered_map ban covers every hot-path dir, the memory
+    hierarchy included."""
+
+    def test_mem_is_hot(self):
+        for subdir in ("src/oram", "src/core", "src/mem"):
+            diags, _ = lint_fixture("bad.cc", subdir=subdir)
+            um = [d for d in diags if "unordered_map" in d.message]
+            self.assertEqual(len(um), 1, subdir)
+
+
 def lint_stub_text(filename, text):
     """Lint @p text as src/oram/<filename> with the text engine."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -20,10 +20,10 @@ Enforces three project rules over C++ sources (see DESIGN.md,
                  steady_clock outside src/obs/ (wall-clock time in
                  simulation logic breaks determinism; the tracer is
                  the one sanctioned consumer); std::unordered_map in
-                 hot-path files (src/oram/, src/core/) -- the seed's
-                 unordered_map stash was replaced by the flat SoA
-                 stash precisely because node-based hashing wrecks
-                 the access-per-cycle budget. Also: including a
+                 hot-path files (src/oram/, src/core/, src/mem/) --
+                 the seed's unordered_map stash and DRAM prefetch
+                 buffer were replaced by flat arrays precisely because
+                 node-based hashing wrecks the per-reference budget. Also: including a
                  concrete scheme header (path_oram.hh / ring_oram.hh)
                  outside src/oram/ -- everything above the engine
                  layer must program against oram/scheme.hh so a new
@@ -88,8 +88,9 @@ SENTINELS = ("kInvalidBlock", "kInvalidLeaf")
 GROWTH_CALLS = ("push_back", "emplace_back", "resize", "reserve")
 
 # Directories (relative to the source root) whose files carry the
-# oblivious-core rules and the unordered_map ban.
-HOT_PATH_DIRS = ("src/oram", "src/core")
+# unordered_map ban: the ORAM core and the memory hierarchy every
+# reference goes through.
+HOT_PATH_DIRS = ("src/oram", "src/core", "src/mem")
 # Stage functions that must stay fully annotated (stage-annotation
 # rule): file -> (class, required function names).
 STAGE_ANNOTATED = {
