@@ -98,10 +98,9 @@ TEST(Prefetcher, TracksMultipleStreams)
     pf.observe(500_id);
     pf.observe(101_id);
     pf.observe(501_id);
-    auto a = pf.observe(102_id);
-    auto b = pf.observe(502_id);
-    EXPECT_FALSE(a.empty());
-    EXPECT_FALSE(b.empty());
+    // observe() returns a view that the next call overwrites.
+    EXPECT_FALSE(pf.observe(102_id).empty());
+    EXPECT_FALSE(pf.observe(502_id).empty());
     EXPECT_EQ(pf.streamsTrained(), 2u);
 }
 
